@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ExoticBlocksPresent, InvalidScheme, SearchSpaceTooLarge
@@ -24,8 +25,10 @@ from .phi import (
     exotic_h_block,
     exotic_l_block,
     full_group_scheme,
+    intersect,
     is_normalized,
     is_valid,
+    reduced_scheme,
     standard_block,
     very_special_block,
 )
@@ -78,38 +81,14 @@ def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     nodes = sorted(set(range(1, rs.rank + 1)) - levi)
     if not nodes:
         return (full_group_scheme(rs, q.p),)
-    domain = [g for g in rs.positive_roots if not g.support() <= levi]
-    # value vector of each block over the common domain; None off its support
-    per_node: List[List[Tuple[Optional[int], ...]]] = []
-    for a in nodes:
-        vecs = []
-        for b in rank_one_catalog(rs, q.p, a, q.max_height):
-            B = block_phi(rs, q.p, b)
-            vecs.append(tuple(
-                B.finite_height(g) if a in g.support() else None for g in domain
-            ))
-        per_node.append(vecs)
-
-    def meet(x: Optional[int], y: Optional[int]) -> Optional[int]:
-        if x is None:
-            return y
-        if y is None:
-            return x
-        return x if x <= y else y
-
-    found: Dict[Tuple[int, ...], None] = {}
-    for combo in itertools.product(*per_node):
-        cur = combo[0]
-        for vec in combo[1:]:
-            cur = tuple(meet(a, b) for a, b in zip(cur, vec))
-        found.setdefault(cur, None)
-    out: List[ParabolicScheme] = []
-    for values in found:
-        P = ParabolicScheme(rs, q.p, levi, dict(zip(domain, values)))
-        if q.normalized_only and not is_normalized(P):
-            continue
-        out.append(P)
-    return tuple(sorted(out, key=_sort_key))
+    per_node = [
+        [block_phi(rs, q.p, b) for b in rank_one_catalog(rs, q.p, a, q.max_height)]
+        for a in nodes
+    ]
+    found = {reduce(intersect, combo) for combo in itertools.product(*per_node)}
+    if q.normalized_only:
+        found = {P for P in found if is_normalized(P)}
+    return tuple(sorted(found, key=_sort_key))
 
 
 def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
@@ -120,8 +99,7 @@ def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     levi = check_levi(rs, q.levi)
     if not set(range(1, rs.rank + 1)) - levi:
         return (full_group_scheme(rs, q.p),)
-    domain = [g for g in rs.positive_roots
-              if not g.support() <= levi]
+    domain = reduced_scheme(rs, q.p, levi).domain
     if (q.max_height + 2) ** len(domain) > BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(
             f"(M+2)^{len(domain)} exceeds {BRUTE_FORCE_GUARD} candidates"

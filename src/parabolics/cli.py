@@ -26,7 +26,7 @@ from .census import (
     schemes_to_jsonl,
 )
 from .chevalley import structure_constant_magnitude
-from .errors import ParabolicsError
+from .errors import InvalidScheme, ParabolicsError
 from .geometry import (
     dimension,
     fibration_sequence,
@@ -52,10 +52,13 @@ def _json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _parse_levi(text: Optional[str]) -> List[int]:
-    if not text:
-        return []
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_levi(text: str) -> List[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated simple indices, got {text!r}"
+        ) from None
 
 
 def _system(args):
@@ -70,6 +73,8 @@ def _load_scheme(args) -> ParabolicScheme:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise InvalidScheme("scheme JSON must be an object")
     data.setdefault("type", args.type)
     if getattr(args, "prime", None) is not None:
         data.setdefault("prime", args.prime)
@@ -162,7 +167,7 @@ def _query(args) -> CensusQuery:
     return CensusQuery(
         rtype=RootSystemType.parse(args.type),
         p=args.prime,
-        levi=frozenset(_parse_levi(args.levi)),
+        levi=frozenset(args.levi),
         max_height=args.max_height,
         normalized_only=args.normalized,
     )
@@ -296,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         if prime:
             p.add_argument("--prime", type=int, required=True)
         if levi:
-            p.add_argument("--levi", default="",
+            p.add_argument("--levi", type=_parse_levi, default=[],
                            help="comma-separated simple indices; empty for the Borel")
         if height:
             p.add_argument("--max-height", type=int, default=1, dest="max_height")

@@ -37,13 +37,6 @@ class MismatchedSchemes(ParabolicsError, ValueError):
     """Binary operation on schemes over different systems or primes."""
 
 
-class NoUniqueMinimum(ParabolicsError):
-    """Two incomparable minimal blocks.  Anchored candidates form a chain
-    for every implemented catalog, so this is never raised today; the name
-    is reserved for catalog extensions where the chain property could fail.
-    """
-
-
 class EdgeHypothesisNotSatisfied(ParabolicsError, ValueError):
     """Very special isogeny requested without an edge of multiplicity p."""
 

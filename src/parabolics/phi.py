@@ -1,9 +1,13 @@
 """The parabolic-scheme calculus.
 
 A parabolic subgroup scheme containing the fixed Borel is encoded by its Levi
-subset I and the height function phi on the positive roots off the Levi;
-heights on Levi roots are an implicit infinity.  Containment of schemes is
-pointwise comparison of heights, intersection is pointwise minimum.
+subset I and the height function phi on the positive roots off the Levi.  A
+ParabolicScheme stores phi as one immutable vector, `heights`, indexed like
+`rs.positive_roots` (root gamma sits at position `rs.index[gamma]`) and
+holding the sentinel INFINITE exactly on the Levi roots.  Containment of
+schemes is pointwise comparison of the vectors, intersection is pointwise
+minimum; other modules go through this module's operations and never read
+the layout themselves.
 
 Every scheme is an intersection of rank-one blocks, one anchored at each
 simple root off the Levi.  The block catalog at a simple root alpha:
@@ -26,7 +30,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .chevalley import vanishes_mod_p
@@ -35,6 +39,7 @@ from .errors import (
     InvalidScheme,
     KernelNotContained,
     MismatchedSchemes,
+    ParabolicsError,
 )
 from .rootsys import (
     LONG,
@@ -108,9 +113,14 @@ def edge_hypothesis(rs: RootSystem, p: int) -> bool:
 
 
 class ParabolicScheme:
-    """(root system, prime, Levi subset, heights off the Levi)."""
+    """(root system, prime, Levi subset, heights off the Levi).
 
-    __slots__ = ("rs", "p", "levi", "_phi", "_key")
+    `heights` is one immutable tuple indexed like `rs.positive_roots` (the
+    position of a root is `rs.index[root]`), holding INFINITE exactly on the
+    Levi roots.
+    """
+
+    __slots__ = ("rs", "p", "levi", "heights")
 
     def __init__(
         self,
@@ -119,61 +129,67 @@ class ParabolicScheme:
         levi: Iterable[int],
         phi: Mapping[Root, int],
     ):
-        if not _is_prime(p):
-            raise InvalidScheme(f"characteristic {p} is not prime")
+        if not isinstance(p, int) or isinstance(p, bool) or not _is_prime(p):
+            raise InvalidScheme(f"characteristic {p!r} is not prime")
         self.rs = rs
         self.p = p
         self.levi = check_levi(rs, levi)
         domain = _off_levi(rs, self.levi)
-        values: Dict[Root, int] = {}
+        heights: List[Height] = [INFINITE] * len(rs.positive_roots)
         for g in domain:
             if g not in phi:
                 raise InvalidScheme(f"phi missing value at {g}")
             v = phi[g]
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InvalidScheme(f"phi({g}) = {v!r} is not a non-negative integer")
-            values[g] = v
+            heights[rs.index[g]] = v
         if len(phi) != len(domain):
             extra = set(phi) - set(domain)
             raise InvalidScheme(f"phi defined off its domain at {sorted(extra, key=str)}")
-        self._phi = values
-        self._key = (
-            str(rs.rtype),
-            p,
-            tuple(sorted(self.levi)),
-            tuple(values[g] for g in domain),
-        )
+        self.heights: Tuple[Height, ...] = tuple(heights)
+
+    @classmethod
+    def _of(
+        cls, rs: RootSystem, p: int, levi: FrozenSet[int], heights: Tuple[Height, ...]
+    ) -> "ParabolicScheme":
+        """Trusted constructor for vectors well formed by construction."""
+        P = object.__new__(cls)
+        P.rs, P.p, P.levi, P.heights = rs, p, levi, heights
+        return P
 
     @property
     def domain(self) -> Tuple[Root, ...]:
-        return _off_levi(self.rs, self.levi)
+        return tuple(g for g, _ in self.phi_items())
 
     def height(self, gamma: Root) -> Height:
         """Height of the scheme on a positive root; INFINITE on Levi roots."""
-        if gamma in self._phi:
-            return self._phi[gamma]
-        if not self.rs.is_positive_root(gamma):
+        i = self.rs.index.get(gamma)
+        if i is None:
             raise InvalidScheme(f"{gamma} is not a positive root of {self.rs.rtype}")
-        return INFINITE
+        return self.heights[i]
 
     def finite_height(self, gamma: Root) -> int:
-        return self._phi[gamma]
+        v = self.height(gamma)
+        if v is INFINITE:
+            raise InvalidScheme(f"{gamma} is a Levi root of {sorted(self.levi)}")
+        return v
 
     def phi_items(self) -> Tuple[Tuple[Root, int], ...]:
-        return tuple((g, self._phi[g]) for g in self.domain)
+        return tuple(
+            (g, v) for g, v in zip(self.rs.positive_roots, self.heights) if v is not INFINITE
+        )
 
     @property
     def max_height(self) -> int:
-        return max(self._phi.values(), default=0)
-
-    def key(self) -> Tuple:
-        return self._key
+        return max((v for v in self.heights if v is not INFINITE), default=0)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ParabolicScheme) and self._key == other._key
+        return isinstance(other, ParabolicScheme) and (
+            (self.rs, self.p, self.heights) == (other.rs, other.p, other.heights)
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.rs, self.p, self.heights))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{g}:{v}" for g, v in self.phi_items())
@@ -200,17 +216,25 @@ class ParabolicScheme:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ParabolicScheme":
+        """Parse without coercion: prime, Levi indices, root coefficients and
+        heights must all be JSON integers."""
         try:
             rtype = RootSystemType.parse(data["type"])
-            p = int(data["prime"])
-            levi = [int(i) for i in data["levi"]]
+            levi = [_json_int(i) for i in data["levi"]]
             phi = {
-                Root.from_coeffs(json.loads(k)): int(v)
+                Root.from_coeffs(_json_int(c) for c in json.loads(k)): v
                 for k, v in data["phi"].items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+            p = data["prime"]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidScheme(f"malformed scheme data: {exc}") from exc
         return cls(build_root_system(rtype), p, levi, phi)
+
+
+def _json_int(v: object) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InvalidScheme(f"{v!r} is not an integer")
+    return v
 
 
 def reduced_scheme(rs: RootSystem, p: int, levi: Iterable[int] = ()) -> ParabolicScheme:
@@ -298,19 +322,21 @@ def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
 def block_phi(rs: RootSystem, p: int, block: RankOneBlock) -> ParabolicScheme:
     """Height function of one catalog block (Levi is everything but the anchor)."""
     _check_block(rs, p, block)
-    levi = frozenset(range(1, rs.rank + 1)) - {block.alpha}
-    m = block.m
-    phi: Dict[Root, int] = {}
-    for g in _off_levi(rs, levi):
-        if block.kind is BlockKind.STANDARD:
-            phi[g] = m
+    a, m = block.alpha - 1, block.m
+    heights: List[Height] = []
+    for g in rs.positive_roots:
+        if not g.coeffs[a]:
+            heights.append(INFINITE)
+        elif block.kind is BlockKind.STANDARD:
+            heights.append(m)
         elif block.kind is BlockKind.VERY_SPECIAL:
-            phi[g] = m + 1 if rs.length_class(g) == SHORT else m
+            heights.append(m + 1 if rs.length_class(g) == SHORT else m)
         elif block.kind is BlockKind.EXOTIC_H:
-            phi[g] = m + 1 if g == _G2_2A1A2 else m
+            heights.append(m + 1 if g == _G2_2A1A2 else m)
         else:
-            phi[g] = m + 1 if g in (_G2_A1, _G2_A1A2) else m
-    return ParabolicScheme(rs, p, levi, phi)
+            heights.append(m + 1 if g in (_G2_A1, _G2_A1A2) else m)
+    levi = frozenset(range(1, rs.rank + 1)) - {block.alpha}
+    return ParabolicScheme._of(rs, p, levi, tuple(heights))
 
 
 def block_anchor_height(rs: RootSystem, block: RankOneBlock) -> int:
@@ -337,29 +363,20 @@ def _check_compatible(P: ParabolicScheme, Q: ParabolicScheme) -> None:
 def intersect(P: ParabolicScheme, Q: ParabolicScheme) -> ParabolicScheme:
     """Pointwise minimum of heights; the scheme-theoretic intersection."""
     _check_compatible(P, Q)
-    levi = P.levi & Q.levi
-    phi: Dict[Root, int] = {}
-    for g in _off_levi(P.rs, levi):
-        v = height_min(P.height(g), Q.height(g))
-        assert v is not INFINITE
-        phi[g] = v
-    return ParabolicScheme(P.rs, P.p, levi, phi)
+    return ParabolicScheme._of(
+        P.rs, P.p, P.levi & Q.levi, tuple(map(height_min, P.heights, Q.heights))
+    )
 
 
 def intersect_all(rs: RootSystem, p: int, schemes: Iterable[ParabolicScheme]) -> ParabolicScheme:
-    out = full_group_scheme(rs, p)
-    for s in schemes:
-        out = intersect(out, s)
-    return out
+    return reduce(intersect, schemes, full_group_scheme(rs, p))
 
 
 def contains(P: ParabolicScheme, Q: ParabolicScheme) -> bool:
     """Whether P contains Q: heights of P dominate pointwise (Levi roots at
     infinity)."""
     _check_compatible(P, Q)
-    if not P.levi >= Q.levi:
-        return False
-    return all(height_ge(P.height(g), v) for g, v in Q.phi_items())
+    return P.levi >= Q.levi and all(map(height_ge, P.heights, Q.heights))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +443,7 @@ def is_valid(P: ParabolicScheme) -> bool:
     """Validity as the reconstruction fixpoint."""
     try:
         return reconstruct(P) == P
-    except Exception:
+    except ParabolicsError:
         return False
 
 
@@ -491,14 +508,14 @@ def frobenius_pullback(P: ParabolicScheme, m: int) -> ParabolicScheme:
     """Pull back along the m-th iterated Frobenius: add m to every height."""
     if m < 0:
         raise InvalidScheme("Frobenius pull-back needs m >= 0")
-    return ParabolicScheme(
-        P.rs, P.p, P.levi, {g: v + m for g, v in P.phi_items()}
-    )
+    return _shift(P, m)
 
 
-def _frobenius_quotient(P: ParabolicScheme, m: int) -> ParabolicScheme:
-    return ParabolicScheme(
-        P.rs, P.p, P.levi, {g: v - m for g, v in P.phi_items()}
+def _shift(P: ParabolicScheme, m: int) -> ParabolicScheme:
+    """Add m to every finite height; callers keep the result non-negative
+    (m >= 0, or m at most the minimum height)."""
+    return ParabolicScheme._of(
+        P.rs, P.p, P.levi, tuple(v if v is INFINITE else v + m for v in P.heights)
     )
 
 
@@ -586,7 +603,7 @@ def normalize(P: ParabolicScheme) -> NormalizationResult:
         if k is None:
             return NormalizationResult(cur, tuple(stripped))
         if k.kind is KernelKind.FROBENIUS:
-            cur = _frobenius_quotient(cur, k.m)
+            cur = _shift(cur, -k.m)
         else:
-            cur = vsi_pushforward(_frobenius_quotient(cur, k.m))
+            cur = vsi_pushforward(_shift(cur, -k.m))
         stripped.append(k)

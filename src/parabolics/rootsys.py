@@ -192,7 +192,6 @@ class RootSystem:
         self.pairing_matrix: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(int(v) for v in row) for row in pairing
         )
-        self._epsilon_scale = scale
 
         # Cartan matrix A[i][j] = <alpha_i, alpha_j^vee> = 2(a_i,a_j)/(a_j,a_j)
         P = self.pairing_matrix
@@ -214,7 +213,9 @@ class RootSystem:
             -r for r in self.positive_roots
         )
         self._root_set = frozenset(self.roots)
-        self._positive_set = frozenset(self.positive_roots)
+        #: position of each positive root in `positive_roots`; schemes index
+        #: their height vectors by it
+        self.index: Dict[Root, int] = {g: i for i, g in enumerate(self.positive_roots)}
         self._length = {r: self._squared_length(r) for r in self.roots}
         short_len = min(self._length[r] for r in self.positive_roots)
         long_len = max(self._length[r] for r in self.positive_roots)
@@ -270,7 +271,7 @@ class RootSystem:
         return gamma in self._root_set
 
     def is_positive_root(self, gamma: Root) -> bool:
-        return gamma in self._positive_set
+        return gamma in self.index
 
     def check_root(self, gamma: Root) -> Root:
         if gamma not in self._root_set:

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import parabolics
 from parabolics.cli import build_parser, run
 
 
@@ -173,6 +178,32 @@ def test_domain_error_exit_code(capsys):
     code, _ = invoke("info", "--type", "Z3")
     assert code == 1
     assert "InvalidRootSystem" in capsys.readouterr().err
+
+
+def run_process(*argv, stdin=""):
+    """The CLI in a fresh interpreter, so an escaping exception would show
+    as a traceback on stderr."""
+    src = str(Path(parabolics.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", "from parabolics.cli import main; main()", *argv],
+        input=stdin, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_input_not_an_object_is_a_domain_error():
+    proc = run_process("validate", "--type", "A2", "--prime", "2", "--input", "-",
+                       stdin="[1, 2, 3]")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("InvalidScheme:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_malformed_levi_is_a_usage_error():
+    proc = run_process("census", "--type", "A2", "--prime", "2", "--levi", "x")
+    assert proc.returncode == 2
+    assert "--levi" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_code():

@@ -97,8 +97,23 @@ def test_json_round_trip_byte_stable():
 
 
 def test_from_json_rejects_garbage():
-    with pytest.raises(InvalidScheme):
-        ParabolicScheme.from_json_dict({"type": "A2", "prime": 2})
+    garbage = [
+        {"type": "A2", "prime": 2},
+        # no coercion: every number must be a JSON integer
+        {"type": "A2", "prime": 2, "levi": [], "phi": {"[1,0]": 1.7, "[0,1]": 0, "[1,1]": 0}},
+        {"type": "A2", "prime": 2, "levi": [], "phi": {"[1,0]": True, "[0,1]": 0, "[1,1]": 0}},
+        {"type": "A2", "prime": 2, "levi": [], "phi": {"[1,0]": "3", "[0,1]": 0, "[1,1]": 0}},
+        {"type": "A2", "prime": "2", "levi": [], "phi": {"[1,0]": 1, "[0,1]": 0, "[1,1]": 0}},
+        {"type": "A2", "prime": 2.0, "levi": [], "phi": {"[1,0]": 1, "[0,1]": 0, "[1,1]": 0}},
+        {"type": "A2", "prime": 2, "levi": ["2"], "phi": {"[1,0]": 1, "[1,1]": 0}},
+        {"type": "A2", "prime": 2, "levi": [2.0], "phi": {"[1,0]": 1, "[1,1]": 0}},
+        {"type": "A2", "prime": 2, "levi": [True], "phi": {"[0,1]": 1, "[1,1]": 0}},
+        {"type": "A2", "prime": 2, "levi": [], "phi": {"[1.0,0]": 1, "[0,1]": 0, "[1,1]": 0}},
+        {"type": "A2", "prime": 2, "levi": [], "phi": [1, 0, 0]},
+    ]
+    for data in garbage:
+        with pytest.raises(InvalidScheme):
+            ParabolicScheme.from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +296,18 @@ def test_reconstruct_fixpoint_on_blocks():
         for b in blocks:
             P = block_phi(rs, p, b)
             assert reconstruct(P) == P
+
+
+def test_is_valid_lets_defects_propagate(monkeypatch):
+    """Only domain errors mean "invalid"; a bug must not read as a verdict."""
+    import parabolics.phi
+
+    def broken(P):
+        raise ZeroDivisionError("defect")
+
+    monkeypatch.setattr(parabolics.phi, "reconstruct", broken)
+    with pytest.raises(ZeroDivisionError):
+        is_valid(reduced_scheme(A2, 2))
 
 
 def test_reduced_and_full_are_valid():
