@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ExoticBlocksPresent, InvalidScheme, SearchSpaceTooLarge
@@ -19,6 +18,8 @@ from .geometry import NotFanoCertificate, is_fano, not_fano_certificate, picard_
 from .phi import (
     ParabolicScheme,
     RankOneBlock,
+    _G2,
+    _check_prime,
     block_phi,
     contains,
     edge_hypothesis,
@@ -46,6 +47,7 @@ class CensusQuery:
     normalized_only: bool = False
 
     def __post_init__(self) -> None:
+        _check_prime(self.p)
         if self.max_height < 0:
             raise InvalidScheme("max_height must be >= 0")
 
@@ -63,7 +65,7 @@ def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> Lis
     out: List[RankOneBlock] = [standard_block(alpha, m) for m in range(max_height + 1)]
     if edge_hypothesis(rs, p):
         out += [very_special_block(alpha, m) for m in range(max_height)]
-    if rs.rtype == RootSystemType.parse("G2") and p == 2 and alpha == 1:
+    if rs.rtype == _G2 and p == 2 and alpha == 1:
         out += [exotic_h_block(m) for m in range(max_height)]
         out += [exotic_l_block(m) for m in range(max_height)]
     return out
@@ -75,7 +77,12 @@ def _sort_key(P: ParabolicScheme) -> Tuple:
 
 def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     """All distinct intersections of catalog-block tuples over the non-Levi
-    nodes, heights bounded by the query."""
+    nodes, heights bounded by the query.
+
+    Folds one node at a time and dedups the partial meets, so the work
+    tracks the distinct prefixes rather than the whole block-tuple product;
+    intersection is associative, commutative and idempotent.
+    """
     rs = q.system
     levi = check_levi(rs, q.levi)
     nodes = sorted(set(range(1, rs.rank + 1)) - levi)
@@ -85,7 +92,9 @@ def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
         [block_phi(rs, q.p, b) for b in rank_one_catalog(rs, q.p, a, q.max_height)]
         for a in nodes
     ]
-    found = {reduce(intersect, combo) for combo in itertools.product(*per_node)}
+    found = set(per_node[0])
+    for blocks in per_node[1:]:
+        found = {intersect(P, B) for P in found for B in blocks}
     if q.normalized_only:
         found = {P for P in found if is_normalized(P)}
     return tuple(sorted(found, key=_sort_key))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from . import __version__, CATALOG_VERSION
@@ -283,7 +284,10 @@ def _cmd_dual(args, out) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `run`; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="parabolics",
         description="parabolic subgroup schemes via height functions on root systems",
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         if prime:
             p.add_argument("--prime", type=int, required=True)
         if levi:
-            p.add_argument("--levi", type=_parse_levi, default=[],
+            p.add_argument("--levi", type=_parse_levi, default=(),
                            help="comma-separated simple indices; empty for the Borel")
         if height:
             p.add_argument("--max-height", type=int, default=1, dest="max_height")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import ExoticBlocksPresent, InvalidScheme, NoSmoothContraction
@@ -295,8 +296,10 @@ def fibration_sequence(P: ParabolicScheme) -> List[FibrationStep]:
 # Fano finiteness machinery
 
 
+@lru_cache(maxsize=None)
 def incidence_threshold(rs: RootSystem) -> Fraction:
-    """The exact rational threshold H gating the incidence certificate.
+    """The exact rational threshold H gating the incidence certificate,
+    computed once per root system.
 
     Numerator: max over simple alpha of the sum of |(gamma, alpha)| over
     positive roots supported at alpha.  Denominator: min of |(gamma, alpha)|

@@ -42,7 +42,6 @@ from .errors import (
     ParabolicsError,
 )
 from .rootsys import (
-    LONG,
     SHORT,
     Root,
     RootSystem,
@@ -89,15 +88,44 @@ def height_ge(a: Height, b: Height) -> bool:
     return a >= b
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+#: characteristics must lie below this bound, where the Miller-Rabin test
+#: with the bases below is exact
+PRIME_LIMIT = 2 ** 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for every n < PRIME_LIMIT."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _check_prime(p: object) -> None:
+    """Reject a characteristic that is not a prime int below PRIME_LIMIT;
+    shared by schemes, blocks and census queries."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise InvalidScheme(f"characteristic {p!r} is not prime")
+    if p >= PRIME_LIMIT:
+        raise InvalidScheme(f"characteristic {p} is not below the limit 2**64")
+    if not _is_prime(p):
+        raise InvalidScheme(f"characteristic {p!r} is not prime")
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +157,7 @@ class ParabolicScheme:
         levi: Iterable[int],
         phi: Mapping[Root, int],
     ):
-        if not isinstance(p, int) or isinstance(p, bool) or not _is_prime(p):
-            raise InvalidScheme(f"characteristic {p!r} is not prime")
+        _check_prime(p)
         self.rs = rs
         self.p = p
         self.levi = check_levi(rs, levi)
@@ -206,8 +233,7 @@ class ParabolicScheme:
             "prime": self.p,
             "levi": sorted(self.levi),
             "phi": {
-                json.dumps(list(g.coeffs), separators=(",", ":")): v
-                for g, v in self.phi_items()
+                k: v for k, v in zip(_json_keys(self.rs), self.heights) if v is not INFINITE
             },
         }
 
@@ -229,6 +255,12 @@ class ParabolicScheme:
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidScheme(f"malformed scheme data: {exc}") from exc
         return cls(build_root_system(rtype), p, levi, phi)
+
+
+@lru_cache(maxsize=None)
+def _json_keys(rs: RootSystem) -> Tuple[str, ...]:
+    """JSON key of each positive root ("[1,0,2]"), indexed like the heights."""
+    return tuple(json.dumps(list(g.coeffs), separators=(",", ":")) for g in rs.positive_roots)
 
 
 def _json_int(v: object) -> int:
@@ -304,6 +336,7 @@ _G2_3A12A2 = Root.of(3, 2)
 
 
 def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
+    _check_prime(p)
     if not 1 <= block.alpha <= rs.rank:
         raise InvalidScheme(f"anchor a{block.alpha} outside 1..{rs.rank}")
     if block.m < 0:
@@ -319,24 +352,31 @@ def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
             )
 
 
-def block_phi(rs: RootSystem, p: int, block: RankOneBlock) -> ParabolicScheme:
-    """Height function of one catalog block (Levi is everything but the anchor)."""
-    _check_block(rs, p, block)
+@lru_cache(maxsize=None)
+def _block_vector(
+    rs: RootSystem, block: RankOneBlock
+) -> Tuple[FrozenSet[int], Tuple[Height, ...]]:
+    """Levi and height vector of a block; they do not depend on p."""
     a, m = block.alpha - 1, block.m
     heights: List[Height] = []
-    for g in rs.positive_roots:
+    for g, short in zip(rs.positive_roots, rs.short):
         if not g.coeffs[a]:
             heights.append(INFINITE)
         elif block.kind is BlockKind.STANDARD:
             heights.append(m)
         elif block.kind is BlockKind.VERY_SPECIAL:
-            heights.append(m + 1 if rs.length_class(g) == SHORT else m)
+            heights.append(m + 1 if short else m)
         elif block.kind is BlockKind.EXOTIC_H:
             heights.append(m + 1 if g == _G2_2A1A2 else m)
         else:
             heights.append(m + 1 if g in (_G2_A1, _G2_A1A2) else m)
-    levi = frozenset(range(1, rs.rank + 1)) - {block.alpha}
-    return ParabolicScheme._of(rs, p, levi, tuple(heights))
+    return frozenset(range(1, rs.rank + 1)) - {block.alpha}, tuple(heights)
+
+
+def block_phi(rs: RootSystem, p: int, block: RankOneBlock) -> ParabolicScheme:
+    """Height function of one catalog block (Levi is everything but the anchor)."""
+    _check_block(rs, p, block)
+    return ParabolicScheme._of(rs, p, *_block_vector(rs, block))
 
 
 def block_anchor_height(rs: RootSystem, block: RankOneBlock) -> int:
@@ -451,6 +491,25 @@ def is_valid(P: ParabolicScheme) -> bool:
 # Commutator inequality check
 
 
+@lru_cache(maxsize=None)
+def _enne_triples(rs: RootSystem, p: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Index triples (gamma, delta, gamma+delta) of the pairs enne_check
+    tests, sorted by the coefficients of gamma, then of delta."""
+    pos, index = rs.positive_roots, rs.index
+    triples = []
+    for a in range(len(pos)):
+        for b in range(a + 1, len(pos)):
+            gamma, delta = pos[a], pos[b]
+            c = index.get(gamma + delta)
+            if c is None or rs.is_root(gamma - delta):
+                continue
+            if vanishes_mod_p(rs, gamma, delta, p):
+                continue
+            triples.append((a, b, c))
+    triples.sort(key=lambda t: (pos[t[0]].coeffs, pos[t[1]].coeffs))
+    return tuple(triples)
+
+
 def enne_check(P: ParabolicScheme) -> List[Tuple[Root, Root, Root]]:
     """Violations of phi(gamma+delta) >= min(phi(gamma), phi(delta)) over
     pairs of positive roots with gamma+delta a positive root, gamma-delta
@@ -461,24 +520,12 @@ def enne_check(P: ParabolicScheme) -> List[Tuple[Root, Root, Root]]:
     gamma - delta is not a root), so each violating pair is reported once,
     components in lexicographic order.
     """
-    rs = P.rs
-    pos = rs.positive_roots
-    bad: List[Tuple[Root, Root, Root]] = []
-    for a in range(len(pos)):
-        for b in range(a + 1, len(pos)):
-            gamma, delta = pos[a], pos[b]
-            total = gamma + delta
-            if not rs.is_positive_root(total):
-                continue
-            if rs.is_root(gamma - delta):
-                continue
-            if vanishes_mod_p(rs, gamma, delta, P.p):
-                continue
-            lo = height_min(P.height(gamma), P.height(delta))
-            if not height_ge(P.height(total), lo):
-                bad.append((gamma, delta, total))
-    bad.sort(key=lambda t: (t[0].coeffs, t[1].coeffs))
-    return bad
+    pos, h = P.rs.positive_roots, P.heights
+    return [
+        (pos[a], pos[b], pos[c])
+        for a, b, c in _enne_triples(P.rs, P.p)
+        if not height_ge(h[c], height_min(h[a], h[b]))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +583,11 @@ def vsi_pullback(P: ParabolicScheme) -> ParabolicScheme:
     _require_edge(P)
     dual, bij = very_special_dual(P.rs)
     levi = frozenset(bij.simple_map[i - 1] for i in P.levi)
-    phi: Dict[Root, int] = {}
-    for g, v in P.phi_items():
-        phi[bij.forward(g)] = v + 1 if P.rs.length_class(g) == LONG else v
+    phi: Dict[Root, int] = {
+        bij.forward(g): v if short else v + 1
+        for g, short, v in zip(P.rs.positive_roots, P.rs.short, P.heights)
+        if v is not INFINITE
+    }
     return ParabolicScheme(dual, P.p, levi, phi)
 
 
@@ -549,14 +598,17 @@ def vsi_pushforward(P: ParabolicScheme) -> ParabolicScheme:
     i.e. every short root off the Levi has height >= 1.
     """
     _require_edge(P)
-    for g, v in P.phi_items():
-        if P.rs.length_class(g) == SHORT and v < 1:
+    items = [
+        (g, short, v)
+        for g, short, v in zip(P.rs.positive_roots, P.rs.short, P.heights)
+        if v is not INFINITE
+    ]
+    for g, short, v in items:
+        if short and v < 1:
             raise KernelNotContained(f"height 0 at short root {g}")
     dual, bij = very_special_dual(P.rs)
     levi = frozenset(bij.simple_map[i - 1] for i in P.levi)
-    phi: Dict[Root, int] = {}
-    for g, v in P.phi_items():
-        phi[bij.forward(g)] = v - 1 if P.rs.length_class(g) == SHORT else v
+    phi = {bij.forward(g): v - 1 if short else v for g, short, v in items}
     return ParabolicScheme(dual, P.p, levi, phi)
 
 
@@ -571,12 +623,12 @@ class NormalizationResult:
 
 
 def _largest_kernel(P: ParabolicScheme) -> Optional[KernelRecord]:
-    values = [v for _, v in P.phi_items()]
+    values = [v for v in P.heights if v is not INFINITE]
     if not values:
         return None
     m = min(values)
     if edge_hypothesis(P.rs, P.p):
-        shorts = [v for g, v in P.phi_items() if P.rs.length_class(g) == SHORT]
+        shorts = [v for short, v in zip(P.rs.short, P.heights) if short and v is not INFINITE]
         if shorts and min(shorts) >= m + 1:
             return KernelRecord(KernelKind.VERY_SPECIAL_KERNEL, m)
     if m >= 1:

@@ -177,6 +177,7 @@ class RootSystem:
 
     def __init__(self, rtype: RootSystemType):
         self.rtype = rtype
+        self._hash = hash(rtype)
         self.rank = rtype.rank
         eps = _simple_epsilon(rtype)
         self.epsilon_coords: Tuple[Tuple[Fraction, ...], ...] = tuple(tuple(v) for v in eps)
@@ -224,6 +225,10 @@ class RootSystem:
             r: (SHORT if (short_len < long_len and l == short_len) else LONG)
             for r, l in self._length.items()
         }
+        #: whether each positive root is short, indexed like `positive_roots`
+        self.short: Tuple[bool, ...] = tuple(
+            self._class[g] == SHORT for g in self.positive_roots
+        )
         self.is_simply_laced = short_len == long_len
         self.max_edge_multiplicity = long_len // 2 if not self.is_simply_laced else 1
 
@@ -259,10 +264,10 @@ class RootSystem:
     # -- queries ---------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RootSystem) and self.rtype == other.rtype
+        return self is other or (isinstance(other, RootSystem) and self.rtype == other.rtype)
 
     def __hash__(self) -> int:
-        return hash(self.rtype)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"RootSystem({self.rtype})"

@@ -206,6 +206,35 @@ def test_malformed_levi_is_a_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["census", "--type", "B2", "--max-height", "1", "--format", "csv"],
+    ["fano", "--type", "B2", "--max-height", "1"],
+    ["blocks", "--type", "B2", "--max-height", "1"],
+])
+def test_non_prime_characteristic_is_a_domain_error(command, capsys):
+    proc = run_process(*command, "--prime", "4")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("InvalidScheme:")
+    assert "Traceback" not in proc.stderr
+    for p in ("1", "0", "-2"):
+        code, out = invoke(*command, "--prime", p)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith("InvalidScheme:")
+
+
+def test_shared_parser_keeps_no_state_between_runs(capsys):
+    census = ["census", "--type", "B2", "--prime", "2", "--max-height", "1"]
+    with pytest.raises(SystemExit) as exc:
+        run(census + ["--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert invoke(*census, "--levi", "1")[0] == 0
+    code, out = invoke(*census)
+    assert code == 0
+    assert out == invoke(*census, "--levi", "")[1]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["no-such-command"])

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from parabolics import (
     reduced_scheme,
     root_system,
     standard_block,
+    structure_constant_magnitude,
     very_special_block,
     very_special_dual,
     vsi_pullback,
@@ -40,6 +42,7 @@ from parabolics.errors import (
     KernelNotContained,
     MismatchedSchemes,
 )
+from parabolics.phi import height_ge, height_min
 
 A2 = root_system("A2")
 B2 = root_system("B2")
@@ -67,8 +70,11 @@ def test_scheme_requires_exact_domain():
         scheme(A2, 2, {2}, {(1, 0): 0, (1, 1): 0, (0, 1): 0})  # a2 is a Levi root
     with pytest.raises(InvalidScheme):
         scheme(A2, 2, set(), {(1, 0): -1, (0, 1): 0, (1, 1): 0})
-    with pytest.raises(InvalidScheme):
-        scheme(A2, 4, set(), {(1, 0): 0, (0, 1): 0, (1, 1): 0})  # p not prime
+    phi = {(1, 0): 0, (0, 1): 0, (1, 1): 0}
+    for p in (4, 561, 2 ** 64 + 13):  # 561 is a Carmichael number
+        with pytest.raises(InvalidScheme):
+            scheme(A2, p, set(), phi)  # p not prime, or past 2**64
+    assert scheme(A2, 2 ** 61 - 1, set(), phi).p == 2 ** 61 - 1
 
 
 def test_height_infinite_on_levi_roots():
@@ -134,9 +140,11 @@ def test_very_special_block_b2():
 def test_very_special_block_needs_edge():
     with pytest.raises(EdgeHypothesisNotSatisfied):
         block_phi(B2, 3, very_special_block(1, 0))
+    # the same block is valid at p=3 first, so a check cached with its
+    # table would let the p=2 call through
+    block_phi(G2, 3, very_special_block(1, 0))  # edge multiplicity 3
     with pytest.raises(EdgeHypothesisNotSatisfied):
         block_phi(G2, 2, very_special_block(1, 0))
-    block_phi(G2, 3, very_special_block(1, 0))  # edge multiplicity 3
 
 
 def test_exotic_block_tables():
@@ -330,6 +338,38 @@ def test_enne_violation():
     P = scheme(A2, 2, set(), {(1, 0): 2, (0, 1): 2, (1, 1): 1})
     bad = enne_check(P)
     assert bad == [(Root.of(0, 1), Root.of(1, 0), Root.of(1, 1))]
+
+
+def _enne_by_double_loop(P):
+    """Reference for enne_check, written from the root-system primitives."""
+    rs, pos = P.rs, P.rs.positive_roots
+    bad = []
+    for a, gamma in enumerate(pos):
+        for delta in pos[a + 1:]:
+            total = gamma + delta
+            if not rs.is_root(total) or rs.is_root(gamma - delta):
+                continue
+            if structure_constant_magnitude(rs, gamma, delta) % P.p == 0:
+                continue
+            if not height_ge(P.height(total), height_min(P.height(gamma), P.height(delta))):
+                bad.append((gamma, delta, total))
+    return sorted(bad, key=lambda t: (t[0].coeffs, t[1].coeffs))
+
+
+def test_enne_matches_double_loop_on_random_schemes():
+    rng = random.Random(3)
+    violations = 0
+    for label in ("B3", "F4", "G2", "E6"):
+        rs = root_system(label)
+        for p in (2, 3, 5):
+            for _ in range(6):
+                levi = set(rng.sample(range(1, rs.rank + 1), rng.randrange(rs.rank)))
+                domain = reduced_scheme(rs, p, levi).domain
+                P = ParabolicScheme(rs, p, levi, {g: rng.randint(0, 3) for g in domain})
+                expected = _enne_by_double_loop(P)
+                assert enne_check(P) == expected
+                violations += len(expected)
+    assert violations > 0
 
 
 def test_enne_empty_on_block_intersections():
