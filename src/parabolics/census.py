@@ -16,22 +16,18 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from .errors import ExoticBlocksPresent, InvalidScheme, SearchSpaceTooLarge
 from .geometry import NotFanoCertificate, is_fano, not_fano_certificate, picard_rank
 from .phi import (
+    BlockKind,
     ParabolicScheme,
     RankOneBlock,
-    _G2,
+    _block_kinds,
     _check_prime,
     block_phi,
     contains,
-    edge_hypothesis,
-    exotic_h_block,
-    exotic_l_block,
     full_group_scheme,
     intersect,
     is_normalized,
     is_valid,
     reduced_scheme,
-    standard_block,
-    very_special_block,
 )
 from .rootsys import RootSystem, RootSystemType, build_root_system, check_levi
 
@@ -58,17 +54,16 @@ class CensusQuery:
 
 def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> List[RankOneBlock]:
     """All catalog blocks at alpha whose heights stay within the bound:
-    Standard(0..M), VerySpecial(0..M-1) under the edge hypothesis, and the
-    two exotic families ExoticH/ExoticL(0..M-1) for G2, p=2, at the short
-    simple root."""
+    Standard(0..M), and every other kind admitted at alpha at 0..M-1 (those
+    reach height m+1)."""
     check_levi(rs, [alpha])
-    out: List[RankOneBlock] = [standard_block(alpha, m) for m in range(max_height + 1)]
-    if edge_hypothesis(rs, p):
-        out += [very_special_block(alpha, m) for m in range(max_height)]
-    if rs.rtype == _G2 and p == 2 and alpha == 1:
-        out += [exotic_h_block(m) for m in range(max_height)]
-        out += [exotic_l_block(m) for m in range(max_height)]
-    return out
+    if max_height < 0:
+        raise InvalidScheme("max_height must be >= 0")
+    return [
+        RankOneBlock(alpha, kind, m)
+        for kind in _block_kinds(rs, p, alpha)
+        for m in range(max_height + 1 if kind is BlockKind.STANDARD else max_height)
+    ]
 
 
 def _sort_key(P: ParabolicScheme) -> Tuple:
@@ -173,22 +168,22 @@ class HasseDiagram:
 
 
 def hasse_diagram(q: CensusQuery) -> HasseDiagram:
+    """Covering pairs (i, j) of the containment order, in increasing order.
+    The enumerated schemes are distinct, so containment between two of them
+    is strict.  Bit j of the int bitset up[i], and bit i of down[j], say that
+    scheme j contains scheme i; j covers i when up[i] & down[j] is empty."""
     schemes = enumerate_parabolics(q)
     n = len(schemes)
-    less = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and contains(schemes[j], schemes[i]) and schemes[i] != schemes[j]:
-                less[i][j] = True
-    edges: List[Tuple[int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if not less[i][j]:
-                continue
-            if any(less[i][k] and less[k][j] for k in range(n)):
-                continue
-            edges.append((i, j))
-    return HasseDiagram(schemes, tuple(sorted(edges)))
+    up, down = [0] * n, [0] * n
+    for i, P in enumerate(schemes):
+        for j, Q in enumerate(schemes):
+            if i != j and contains(Q, P):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    edges = tuple(
+        (i, j) for i in range(n) for j in range(n) if up[i] >> j & 1 and not up[i] & down[j]
+    )
+    return HasseDiagram(schemes, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def _cmd_constants(args, out) -> int:
 
 def _cmd_blocks(args, out) -> int:
     rs = _system(args)
-    alphas = [args.alpha] if args.alpha else range(1, rs.rank + 1)
+    alphas = [args.alpha] if args.alpha is not None else range(1, rs.rank + 1)
     records = []
     for a in alphas:
         for b in rank_one_catalog(rs, args.prime, a, args.max_height):
@@ -298,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, prime=False, levi=False, height=False,
-            inp=False, fmt="text"):
+    def add(name, fn, help_, formats, prime=False, levi=False, height=False,
+            inp=False):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--type", required=True, help="root system label, e.g. B2")
         if prime:
@@ -312,29 +312,29 @@ def build_parser() -> argparse.ArgumentParser:
         if inp:
             p.add_argument("--input", required=True,
                            help="scheme JSON file, '-' for stdin")
-        p.add_argument("--format", choices=("json", "csv", "dot", "text"),
-                       default=fmt)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.set_defaults(fn=fn)
         return p
 
-    add("info", _cmd_info, "root system tables")
-    add("constants", _cmd_constants, "structure constant magnitudes", fmt="csv")
-    b = add("blocks", _cmd_blocks, "rank-one block catalog", prime=True, height=True)
+    add("info", _cmd_info, "root system tables", ("text", "json"))
+    add("constants", _cmd_constants, "structure constant magnitudes", ("csv",))
+    b = add("blocks", _cmd_blocks, "rank-one block catalog", ("text", "json"),
+            prime=True, height=True)
     b.add_argument("--alpha", type=int, default=None)
-    add("validate", _cmd_validate, "check a height function", prime=True,
-        inp=True, fmt="json")
-    add("reconstruct", _cmd_reconstruct, "blockwise reconstruction", prime=True,
-        inp=True, fmt="json")
-    c = add("census", _cmd_census, "enumerate schemes", prime=True, levi=True,
-            height=True, fmt="json")
+    add("validate", _cmd_validate, "check a height function", ("json",),
+        prime=True, inp=True)
+    add("reconstruct", _cmd_reconstruct, "blockwise reconstruction", ("json",),
+        prime=True, inp=True)
+    c = add("census", _cmd_census, "enumerate schemes", ("json", "csv", "text", "dot"),
+            prime=True, levi=True, height=True)
     c.add_argument("--normalized", action="store_true")
-    f = add("fano", _cmd_fano, "Fano census", prime=True, levi=True,
-            height=True, fmt="csv")
+    f = add("fano", _cmd_fano, "Fano census", ("csv", "json", "text"),
+            prime=True, levi=True, height=True)
     f.add_argument("--normalized", action="store_true")
-    add("fibrations", _cmd_fibrations, "locally trivial fibration sequence",
-        prime=True, inp=True, fmt="json")
-    add("d4", _cmd_d4, "long-root subsystem of F4", fmt="json")
-    d = add("dual", _cmd_dual, "very special duality", fmt="json")
+    add("fibrations", _cmd_fibrations, "locally trivial fibration sequence", ("json",),
+        prime=True, inp=True)
+    add("d4", _cmd_d4, "long-root subsystem of F4", ("json", "text"))
+    d = add("dual", _cmd_dual, "very special duality", ("json", "csv"))
     d.add_argument("--prime", type=int, default=None)
     d.add_argument("--input", default=None, help="scheme JSON to transport")
     d.add_argument("--pushforward", action="store_true")

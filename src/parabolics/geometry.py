@@ -99,14 +99,10 @@ def smooth_contraction_roots(P: ParabolicScheme) -> FrozenSet[int]:
     """Simple roots whose generated block is the reduced Standard(0), i.e.
     whose contraction has smooth total space.  Meaningful on normalized
     schemes."""
-    out = set()
-    for a in range(1, P.rs.rank + 1):
-        if a in P.levi:
-            continue
-        b = generated_block(P, a)
-        if b.kind is BlockKind.STANDARD and b.m == 0:
-            out.add(a)
-    return frozenset(out)
+    return frozenset(
+        a for a, b in _generated_blocks(P).items()
+        if b.kind is BlockKind.STANDARD and b.m == 0
+    )
 
 
 def _generated_blocks(P: ParabolicScheme) -> Dict[int, RankOneBlock]:

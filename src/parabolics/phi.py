@@ -21,6 +21,10 @@ simple root off the Levi.  The block catalog at a simple root alpha:
       ExoticH(m): 2a1+a2 -> m+1, other a1-supported roots -> m
       ExoticL(m): a1, a1+a2 -> m+1, 2a1+a2, 3a1+a2, 3a1+2a2 -> m
 
+`_block_kinds` is the one statement of which kinds exist at which node; the
+block check, the census catalog and the anchored candidate chains are
+derived from it and from the block height vectors.
+
 Reconstruction recovers the minimal anchored block at each node and
 re-intersects; a height function is valid exactly when this is the identity.
 """
@@ -33,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .chevalley import vanishes_mod_p
 from .errors import (
     EdgeHypothesisNotSatisfied,
     InvalidScheme,
@@ -42,7 +45,6 @@ from .errors import (
     ParabolicsError,
 )
 from .rootsys import (
-    SHORT,
     Root,
     RootSystem,
     RootSystemType,
@@ -285,10 +287,12 @@ def full_group_scheme(rs: RootSystem, p: int) -> ParabolicScheme:
 
 
 class BlockKind(enum.Enum):
-    STANDARD = "standard"
-    VERY_SPECIAL = "very_special"
-    EXOTIC_H = "exotic_h"
-    EXOTIC_L = "exotic_l"
+    """Block kinds in catalog order; the value is the display name."""
+
+    STANDARD = "Standard"
+    VERY_SPECIAL = "VerySpecial"
+    EXOTIC_H = "ExoticH"
+    EXOTIC_L = "ExoticL"
 
 
 @dataclass(frozen=True, order=True)
@@ -300,13 +304,7 @@ class RankOneBlock:
     m: int
 
     def __str__(self) -> str:
-        name = {
-            BlockKind.STANDARD: "Standard",
-            BlockKind.VERY_SPECIAL: "VerySpecial",
-            BlockKind.EXOTIC_H: "ExoticH",
-            BlockKind.EXOTIC_L: "ExoticL",
-        }[self.kind]
-        return f"{name}({self.m})@a{self.alpha}"
+        return f"{self.kind.value}({self.m})@a{self.alpha}"
 
 
 def standard_block(alpha: int, m: int) -> RankOneBlock:
@@ -327,12 +325,23 @@ def exotic_l_block(m: int) -> RankOneBlock:
 
 _G2 = RootSystemType.parse("G2")
 
-# the five a1-supported positive roots of G2, by coefficient vector
+# the a1-supported positive roots of G2 where the exotic blocks reach m+1
 _G2_A1 = Root.of(1, 0)
 _G2_A1A2 = Root.of(1, 1)
 _G2_2A1A2 = Root.of(2, 1)
-_G2_3A1A2 = Root.of(3, 1)
-_G2_3A12A2 = Root.of(3, 2)
+
+
+@lru_cache(maxsize=None)
+def _block_kinds(rs: RootSystem, p: int, alpha: int) -> Tuple[BlockKind, ...]:
+    """The block kinds admitted at the simple root alpha, in catalog order:
+    Standard everywhere, VerySpecial under an edge of multiplicity p, and
+    the two exotic kinds in G2, characteristic 2, at the short simple root."""
+    kinds = [BlockKind.STANDARD]
+    if edge_hypothesis(rs, p):
+        kinds.append(BlockKind.VERY_SPECIAL)
+    if rs.rtype == _G2 and p == 2 and alpha == 1:
+        kinds += [BlockKind.EXOTIC_H, BlockKind.EXOTIC_L]
+    return tuple(kinds)
 
 
 def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
@@ -341,15 +350,15 @@ def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
         raise InvalidScheme(f"anchor a{block.alpha} outside 1..{rs.rank}")
     if block.m < 0:
         raise InvalidScheme(f"negative block height {block.m}")
-    if block.kind is BlockKind.VERY_SPECIAL and not edge_hypothesis(rs, p):
+    if block.kind in _block_kinds(rs, p, block.alpha):
+        return
+    if block.kind is BlockKind.VERY_SPECIAL:
         raise EdgeHypothesisNotSatisfied(
             f"VerySpecial block needs an edge of multiplicity {p} in {rs.rtype}"
         )
-    if block.kind in (BlockKind.EXOTIC_H, BlockKind.EXOTIC_L):
-        if rs.rtype != _G2 or p != 2 or block.alpha != 1:
-            raise InvalidScheme(
-                "exotic blocks exist only in G2, characteristic 2, at the short simple root"
-            )
+    raise InvalidScheme(
+        "exotic blocks exist only in G2, characteristic 2, at the short simple root"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -381,12 +390,7 @@ def block_phi(rs: RootSystem, p: int, block: RankOneBlock) -> ParabolicScheme:
 
 def block_anchor_height(rs: RootSystem, block: RankOneBlock) -> int:
     """Height of the block on its own anchor root."""
-    alpha = rs.simple_roots[block.alpha - 1]
-    if block.kind is BlockKind.STANDARD or block.kind is BlockKind.EXOTIC_H:
-        return block.m
-    if block.kind is BlockKind.VERY_SPECIAL:
-        return block.m + 1 if rs.length_class(alpha) == SHORT else block.m
-    return block.m + 1  # ExoticL: a1 is one of its height-(m+1) roots
+    return _block_vector(rs, block)[1][rs.index[rs.simple_roots[block.alpha - 1]]]
 
 
 # ---------------------------------------------------------------------------
@@ -423,28 +427,21 @@ def contains(P: ParabolicScheme, Q: ParabolicScheme) -> bool:
 # Generated blocks and reconstruction
 
 
+@lru_cache(maxsize=None)
 def anchored_candidates(
     rs: RootSystem, p: int, alpha: int, anchor: int
-) -> List[RankOneBlock]:
-    """Catalog blocks at alpha whose height on alpha equals `anchor`,
-    in increasing containment order (they always form a chain)."""
-    out: List[RankOneBlock] = []
-    if rs.rtype == _G2 and p == 2 and alpha == 1:
-        if anchor >= 1:
-            out.append(exotic_l_block(anchor - 1))
-        out.append(standard_block(alpha, anchor))
-        out.append(exotic_h_block(anchor))
-    elif edge_hypothesis(rs, p):
-        if rs.simple_index_class(alpha) == SHORT:
-            if anchor >= 1:
-                out.append(very_special_block(alpha, anchor - 1))
-            out.append(standard_block(alpha, anchor))
-        else:
-            out.append(standard_block(alpha, anchor))
-            out.append(very_special_block(alpha, anchor))
-    else:
-        out.append(standard_block(alpha, anchor))
-    return out
+) -> Tuple[RankOneBlock, ...]:
+    """Catalog blocks at alpha whose height on alpha equals `anchor`, in
+    increasing containment order.  They form a chain because Standard(m) is
+    contained in X(m), and X(m) in Standard(m+1), for every other kind X."""
+    blocks = (
+        RankOneBlock(alpha, k, anchor - block_anchor_height(rs, RankOneBlock(alpha, k, 0)))
+        for k in _block_kinds(rs, p, alpha)
+    )
+    return tuple(sorted(
+        (b for b in blocks if b.m >= 0),
+        key=lambda b: (b.m, b.kind is not BlockKind.STANDARD),
+    ))
 
 
 def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
@@ -462,7 +459,7 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     anchor = P.finite_height(P.rs.simple_roots[alpha - 1])
     cands = anchored_candidates(P.rs, P.p, alpha, anchor)
     for b in cands:
-        if contains(block_phi(P.rs, P.p, b), P):
+        if all(map(height_ge, _block_vector(P.rs, b)[1], P.heights)):
             return b
     return cands[-1]
 
@@ -470,13 +467,15 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
 def reconstruct(P: ParabolicScheme) -> ParabolicScheme:
     """Intersection of the generated blocks over the simple roots off the
     Levi; equals P exactly when P is a genuine parabolic scheme."""
-    blocks = [
-        block_phi(P.rs, P.p, generated_block(P, a))
-        for a in sorted(set(range(1, P.rs.rank + 1)) - P.levi)
+    vectors = [
+        _block_vector(P.rs, generated_block(P, a))[1]
+        for a in range(1, P.rs.rank + 1)
+        if a not in P.levi
     ]
-    if not blocks:
+    if not vectors:
         return P
-    return intersect_all(P.rs, P.p, blocks)
+    heights = reduce(lambda h, v: tuple(map(height_min, h, v)), vectors)
+    return ParabolicScheme._of(P.rs, P.p, P.levi, heights)
 
 
 def is_valid(P: ParabolicScheme) -> bool:
@@ -492,7 +491,7 @@ def is_valid(P: ParabolicScheme) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _enne_triples(rs: RootSystem, p: int) -> Tuple[Tuple[int, int, int], ...]:
+def _enne_triples(rs: RootSystem) -> Tuple[Tuple[int, int, int], ...]:
     """Index triples (gamma, delta, gamma+delta) of the pairs enne_check
     tests, sorted by the coefficients of gamma, then of delta."""
     pos, index = rs.positive_roots, rs.index
@@ -503,8 +502,6 @@ def _enne_triples(rs: RootSystem, p: int) -> Tuple[Tuple[int, int, int], ...]:
             c = index.get(gamma + delta)
             if c is None or rs.is_root(gamma - delta):
                 continue
-            if vanishes_mod_p(rs, gamma, delta, p):
-                continue
             triples.append((a, b, c))
     triples.sort(key=lambda t: (pos[t[0]].coeffs, pos[t[1]].coeffs))
     return tuple(triples)
@@ -512,18 +509,19 @@ def _enne_triples(rs: RootSystem, p: int) -> Tuple[Tuple[int, int, int], ...]:
 
 def enne_check(P: ParabolicScheme) -> List[Tuple[Root, Root, Root]]:
     """Violations of phi(gamma+delta) >= min(phi(gamma), phi(delta)) over
-    pairs of positive roots with gamma+delta a positive root, gamma-delta
-    not a root, and structure constant nonzero mod p.
+    pairs of positive roots with gamma+delta a positive root and gamma-delta
+    not a root.
 
-    Necessary for genuine schemes, strictly weaker than is_valid.  The
-    condition is symmetric in the pair (the chain is empty both ways when
-    gamma - delta is not a root), so each violating pair is reported once,
-    components in lexicographic order.
+    Necessary for genuine schemes, strictly weaker than is_valid.  When
+    gamma - delta is not a root the down-chain is empty, so the structure
+    constant is +-1 and nonzero in every characteristic; the pairs do not
+    depend on p.  The condition is symmetric in the pair, so each violating
+    pair is reported once, components in lexicographic order.
     """
     pos, h = P.rs.positive_roots, P.heights
     return [
         (pos[a], pos[b], pos[c])
-        for a, b, c in _enne_triples(P.rs, P.p)
+        for a, b, c in _enne_triples(P.rs)
         if not height_ge(h[c], height_min(h[a], h[b]))
     ]
 

@@ -292,10 +292,6 @@ class RootSystem:
             for j, dj in enumerate(delta.coeffs) if dj
         )
 
-    def cartan_pairing(self, gamma: Root, i: int) -> int:
-        """<gamma, alpha_i^vee> for a 1-based simple index i."""
-        return self._cartan_pair_raw(gamma, i - 1)
-
     def support(self, gamma: Root) -> FrozenSet[int]:
         self.check_root(gamma)
         return gamma.support()
@@ -312,9 +308,6 @@ class RootSystem:
                 for k in range(dim):
                     out[k] += c * self.epsilon_coords[i][k]
         return tuple(out)
-
-    def simple_index_class(self, i: int) -> str:
-        return self._class[self.simple_roots[i - 1]]
 
     def adjacency(self) -> Dict[int, FrozenSet[int]]:
         """Dynkin-diagram neighbours, 1-based."""
@@ -376,22 +369,12 @@ class VerySpecialDuality:
     target: RootSystem
     simple_map: Tuple[int, ...]  # simple_map[i-1] = image index of alpha_i
     _forward: Dict[Root, Root]
-    _backward: Dict[Root, Root]
 
     def forward(self, gamma: Root) -> Root:
         try:
             return self._forward[gamma]
         except KeyError:
             raise NotARoot(f"{gamma} is not a root of {self.source.rtype}") from None
-
-    def backward(self, gamma: Root) -> Root:
-        try:
-            return self._backward[gamma]
-        except KeyError:
-            raise NotARoot(f"{gamma} is not a root of {self.target.rtype}") from None
-
-    def __call__(self, gamma: Root) -> Root:
-        return self.forward(gamma)
 
 
 @lru_cache(maxsize=None)
@@ -424,8 +407,7 @@ def very_special_dual(rs: RootSystem) -> Tuple[RootSystem, VerySpecialDuality]:
         if rs.length_class(gamma) == dual.length_class(img):
             raise InvalidRootSystem(f"duality failed to exchange lengths at {gamma}")
         fwd[gamma] = img
-    bwd = {v: k for k, v in fwd.items()}
-    return dual, VerySpecialDuality(rs, dual, tuple(sigma[i] for i in range(1, rs.rank + 1)), fwd, bwd)
+    return dual, VerySpecialDuality(rs, dual, tuple(sigma[i] for i in range(1, rs.rank + 1)), fwd)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_magnitude_range_all_small_types():
 
 
 def test_magnitude_one_when_difference_not_a_root():
-    for label in ["B3", "F4", "G2"]:
+    for label in ["A3", "B3", "C3", "D4", "F4", "G2", "E6", "E7", "E8"]:
         rs = root_system(label)
         for g, d in itertools.product(rs.roots, repeat=2):
             if g in (d, -d) or not rs.is_root(g + d):

@@ -223,6 +223,22 @@ def test_non_prime_characteristic_is_a_domain_error(command, capsys):
         assert capsys.readouterr().err.startswith("InvalidScheme:")
 
 
+@pytest.mark.parametrize("option", [["--alpha", "0"], ["--max-height", "-1"]])
+def test_blocks_out_of_range_input_is_a_domain_error(option):
+    proc = run_process("blocks", "--type", "B2", "--prime", "2", *option)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("InvalidScheme:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_format_the_subcommand_does_not_write_is_a_usage_error():
+    proc = run_process("info", "--type", "B2", "--format", "dot")
+    assert proc.returncode == 2
+    assert "--format" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_shared_parser_keeps_no_state_between_runs(capsys):
     census = ["census", "--type", "B2", "--prime", "2", "--max-height", "1"]
     with pytest.raises(SystemExit) as exc:

@@ -42,7 +42,7 @@ from parabolics.errors import (
     KernelNotContained,
     MismatchedSchemes,
 )
-from parabolics.phi import height_ge, height_min
+from parabolics.phi import _block_kinds, height_ge, height_min
 
 A2 = root_system("A2")
 B2 = root_system("B2")
@@ -494,6 +494,30 @@ def test_g2_p2_catalog_contents():
     assert {(b.kind, b.m) for b in at2} == {
         (BlockKind.STANDARD, 0), (BlockKind.STANDARD, 1), (BlockKind.STANDARD, 2),
     }
+
+
+#: block kinds admitted at each node (a1 first), in catalog order:
+#: S Standard, V VerySpecial, H ExoticH, L ExoticL
+ADMITTED_KINDS = {
+    ("A2", 2): ("S", "S"), ("A2", 3): ("S", "S"), ("A2", 5): ("S", "S"),
+    ("B2", 2): ("SV", "SV"), ("B2", 3): ("S", "S"), ("B2", 5): ("S", "S"),
+    ("C2", 2): ("SV", "SV"), ("C2", 3): ("S", "S"), ("C2", 5): ("S", "S"),
+    ("G2", 2): ("SHL", "S"), ("G2", 3): ("SV", "SV"), ("G2", 5): ("S", "S"),
+    ("B3", 2): ("SV", "SV", "SV"), ("B3", 3): ("S", "S", "S"), ("B3", 5): ("S", "S", "S"),
+    ("C3", 2): ("SV", "SV", "SV"), ("C3", 3): ("S", "S", "S"), ("C3", 5): ("S", "S", "S"),
+    ("F4", 2): ("SV", "SV", "SV", "SV"), ("F4", 3): ("S", "S", "S", "S"),
+    ("F4", 5): ("S", "S", "S", "S"),
+}
+
+
+def test_admitted_block_kinds_golden_table():
+    letter = {BlockKind.STANDARD: "S", BlockKind.VERY_SPECIAL: "V",
+              BlockKind.EXOTIC_H: "H", BlockKind.EXOTIC_L: "L"}
+    for (label, p), expected in ADMITTED_KINDS.items():
+        rs = root_system(label)
+        got = tuple("".join(letter[k] for k in _block_kinds(rs, p, a))
+                    for a in range(1, rs.rank + 1))
+        assert got == expected, (label, p)
 
 
 # ---------------------------------------------------------------------------
