@@ -21,8 +21,8 @@ from .phi import (
     RankOneBlock,
     _block_kinds,
     _check_prime,
+    _containment_bitsets,
     block_phi,
-    contains,
     full_group_scheme,
     intersect,
     is_normalized,
@@ -168,22 +168,19 @@ class HasseDiagram:
 
 
 def hasse_diagram(q: CensusQuery) -> HasseDiagram:
-    """Covering pairs (i, j) of the containment order, in increasing order.
-    The enumerated schemes are distinct, so containment between two of them
-    is strict.  Bit j of the int bitset up[i], and bit i of down[j], say that
-    scheme j contains scheme i; j covers i when up[i] & down[j] is empty."""
+    """Covering pairs (i, j) of the containment order, in increasing order:
+    scheme j contains scheme i (strictly, as the schemes are distinct) and
+    no scheme lies between, i.e. up[i] & down[j] is empty."""
     schemes = enumerate_parabolics(q)
-    n = len(schemes)
-    up, down = [0] * n, [0] * n
-    for i, P in enumerate(schemes):
-        for j, Q in enumerate(schemes):
-            if i != j and contains(Q, P):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    edges = tuple(
-        (i, j) for i in range(n) for j in range(n) if up[i] >> j & 1 and not up[i] & down[j]
-    )
-    return HasseDiagram(schemes, edges)
+    up, down = _containment_bitsets(schemes)
+    edges = []
+    for i, above in enumerate(up):
+        while above:
+            j = (above & -above).bit_length() - 1
+            if not up[i] & down[j]:
+                edges.append((i, j))
+            above &= ~(up[j] | 1 << j)  # nothing above j covers i
+    return HasseDiagram(schemes, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,6 @@ def _load_scheme(args) -> ParabolicScheme:
     return ParabolicScheme.from_json_dict(data)
 
 
-def _scheme_text(P: ParabolicScheme) -> str:
-    rows = [f"type {P.rs.rtype}  prime {P.p}  levi {sorted(P.levi) or '[]'}"]
-    rows += [f"  phi({g}) = {v}" for g, v in P.phi_items()]
-    return "\n".join(rows)
-
-
 def _cmd_info(args, out) -> int:
     rs = _system(args)
     if args.format == "json":
@@ -183,7 +177,7 @@ def _cmd_census(args, out) -> int:
         print(schemes_to_csv(schemes), end="", file=out)
     elif args.format == "text":
         for P in schemes:
-            print(_scheme_text(P), file=out)
+            out.write(P.to_text() + "\n")
         print(f"total {len(schemes)} schemes", file=out)
     else:
         print(schemes_to_jsonl(schemes), end="", file=out)
@@ -211,7 +205,7 @@ def _cmd_fano(args, out) -> int:
     elif args.format == "text":
         for r in rows:
             mark = "fano" if r.fano else "not-fano"
-            print(f"{_scheme_text(r.scheme)}\n  -> {mark}", file=out)
+            print(f"{r.scheme.to_text()}\n  -> {mark}", file=out)
         print(_json(fano_summary(rows)), file=out)
     else:
         print(fano_to_csv(rows), end="", file=out)

@@ -99,10 +99,11 @@ def smooth_contraction_roots(P: ParabolicScheme) -> FrozenSet[int]:
     """Simple roots whose generated block is the reduced Standard(0), i.e.
     whose contraction has smooth total space.  Meaningful on normalized
     schemes."""
-    return frozenset(
-        a for a, b in _generated_blocks(P).items()
-        if b.kind is BlockKind.STANDARD and b.m == 0
-    )
+    return _smooth(_generated_blocks(P))
+
+
+def _smooth(blocks: Dict[int, RankOneBlock]) -> FrozenSet[int]:
+    return frozenset(a for a, b in blocks.items() if b.kind is BlockKind.STANDARD and b.m == 0)
 
 
 def _generated_blocks(P: ParabolicScheme) -> Dict[int, RankOneBlock]:
@@ -144,7 +145,7 @@ def p_sm(P: ParabolicScheme) -> SmoothPart:
     _require_normalized(P)
     blocks = _generated_blocks(P)
     _require_quasi_standard(blocks)
-    smooth = smooth_contraction_roots(P)
+    smooth = _smooth(blocks)
     rough = [a for a in blocks if a not in smooth]
     reduced_levi = frozenset(range(1, P.rs.rank + 1)) - smooth
     red = reduced_scheme(P.rs, P.p, reduced_levi)

@@ -35,7 +35,8 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
+from operator import and_, or_
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     EdgeHypothesisNotSatisfied,
@@ -242,6 +243,13 @@ class ParabolicScheme:
     def canonical_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
+    def to_text(self) -> str:
+        """A header line, then a `  phi(<root>) = <height>` line per root off the Levi."""
+        head = f"type {self.rs.rtype}  prime {self.p}  levi {sorted(self.levi) or '[]'}"
+        return head + "".join(
+            k + str(v) for k, v in zip(_text_prefixes(self.rs), self.heights) if v is not INFINITE
+        )
+
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ParabolicScheme":
         """Parse without coercion: prime, Levi indices, root coefficients and
@@ -263,6 +271,12 @@ class ParabolicScheme:
 def _json_keys(rs: RootSystem) -> Tuple[str, ...]:
     """JSON key of each positive root ("[1,0,2]"), indexed like the heights."""
     return tuple(json.dumps(list(g.coeffs), separators=(",", ":")) for g in rs.positive_roots)
+
+
+@lru_cache(maxsize=None)
+def _text_prefixes(rs: RootSystem) -> Tuple[str, ...]:
+    """Text row prefix ("\\n  phi(a1+a2) = ") of each positive root, indexed like heights."""
+    return tuple(f"\n  phi({g}) = " for g in rs.positive_roots)
 
 
 def _json_int(v: object) -> int:
@@ -295,7 +309,7 @@ class BlockKind(enum.Enum):
     EXOTIC_L = "ExoticL"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class RankOneBlock:
     """A catalog block anchored at a simple root."""
 
@@ -335,7 +349,10 @@ _G2_2A1A2 = Root.of(2, 1)
 def _block_kinds(rs: RootSystem, p: int, alpha: int) -> Tuple[BlockKind, ...]:
     """The block kinds admitted at the simple root alpha, in catalog order:
     Standard everywhere, VerySpecial under an edge of multiplicity p, and
-    the two exotic kinds in G2, characteristic 2, at the short simple root."""
+    the two exotic kinds in G2, characteristic 2, at the short simple root.
+    Raises InvalidScheme for an alpha outside 1..rank."""
+    if not 1 <= alpha <= rs.rank:
+        raise InvalidScheme(f"anchor a{alpha} outside 1..{rs.rank}")
     kinds = [BlockKind.STANDARD]
     if edge_hypothesis(rs, p):
         kinds.append(BlockKind.VERY_SPECIAL)
@@ -346,8 +363,6 @@ def _block_kinds(rs: RootSystem, p: int, alpha: int) -> Tuple[BlockKind, ...]:
 
 def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
     _check_prime(p)
-    if not 1 <= block.alpha <= rs.rank:
-        raise InvalidScheme(f"anchor a{block.alpha} outside 1..{rs.rank}")
     if block.m < 0:
         raise InvalidScheme(f"negative block height {block.m}")
     if block.kind in _block_kinds(rs, p, block.alpha):
@@ -421,6 +436,28 @@ def contains(P: ParabolicScheme, Q: ParabolicScheme) -> bool:
     infinity)."""
     _check_compatible(P, Q)
     return P.levi >= Q.levi and all(map(height_ge, P.heights, Q.heights))
+
+
+def _containment_bitsets(schemes: Sequence[ParabolicScheme]) -> Tuple[List[int], List[int]]:
+    """Strict containment among distinct schemes as int bitsets: bit j of
+    up[i], and bit i of down[j], say that schemes[j] contains schemes[i].
+
+    Per root the schemes are grouped by height into bitsets, and up[i]
+    (down[i]) keeps those at least (at most) as high as schemes[i]: O(n * N)
+    big-int ANDs.  A Levi simple root has height INFINITE, so dominance at
+    the simple roots gives Levi containment with no separate test."""
+    for Q in schemes[1:]:
+        _check_compatible(schemes[0], Q)
+    up = down = [(1 << len(schemes)) - 1] * len(schemes)
+    for column in zip(*(P.heights for P in schemes)):
+        at: Dict[Height, int] = {}
+        for j, v in enumerate(column):
+            at[v] = at.get(v, 0) | 1 << j
+        ge = {v: reduce(or_, (s for w, s in at.items() if height_ge(w, v))) for v in at}
+        le = {v: reduce(or_, (s for w, s in at.items() if height_ge(v, w))) for v in at}
+        up = list(map(and_, up, map(ge.__getitem__, column)))
+        down = list(map(and_, down, map(le.__getitem__, column)))
+    return [u ^ 1 << i for i, u in enumerate(up)], [d ^ 1 << i for i, d in enumerate(down)]
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,6 @@ class Root:
         return Root(tuple(-a for a in self.coeffs))
 
     @property
-    def is_positive(self) -> bool:
-        return all(c >= 0 for c in self.coeffs) and any(c > 0 for c in self.coeffs)
-
-    @property
     def height(self) -> int:
         return sum(self.coeffs)
 

@@ -43,6 +43,15 @@ CASES = {
     "fano-text": (["fano", "--type", "G2", "--prime", "2", "--max-height", "3",
                    "--format", "text"], 0,
                   "17375841660a69c39f1cb690cd82a2fe0bdd5cec2d15c566203a16d8b0c307f8"),
+    "census-text-f4-levi": (["census", "--type", "F4", "--prime", "2", "--levi", "1,2",
+                             "--max-height", "2", "--format", "text"], 0,
+                            "7364fb2d9221e8a62ac416f9dec1a5d2609ae256ae97a1c06cd1fce3e9a6143f"),
+    "census-dot-c3-levi": (["census", "--type", "C3", "--prime", "2", "--levi", "2",
+                            "--max-height", "3", "--format", "dot"], 0,
+                           "8824ec50b6bc85eb9396a4b738d1813922ec5ed7646601a5887fe35eeba02a2c"),
+    "fano-text-b3": (["fano", "--type", "B3", "--prime", "2", "--max-height", "3",
+                      "--format", "text"], 0,
+                     "6a4a561415289c80874f635de78a74fe288df40ac5a33ea2fa67674a7e4b8b29"),
     "blocks": (["blocks", "--type", "F4", "--prime", "2", "--max-height", "2"], 0,
                "1cd8408ea1149e6cf17930d6e53b50bcfccb6f09a82c08f9a8eecb9b28945098"),
     "validate": (["validate", "--type", "B3", "--prime", "2", "--input", "SCHEME"], 1,

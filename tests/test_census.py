@@ -229,6 +229,44 @@ def test_hasse_m0_single_node():
     assert len(d.schemes) == 1 and d.edges == ()
 
 
+def _pairwise_covers(schemes):
+    """Reference cover relation: a plain O(n^3) loop over `contains`."""
+    n = len(schemes)
+    above = [[j for j in range(n) if j != i and contains(schemes[j], schemes[i])]
+             for i in range(n)]
+    return tuple(
+        (i, j) for i in range(n) for j in above[i]
+        if not any(j in above[k] for k in above[i])
+    )
+
+
+@pytest.mark.parametrize("label,p,levi,M,normalized", [
+    ("G2", 2, (), 3, False),
+    ("B2", 2, (1,), 3, False),
+    ("B3", 2, (2,), 2, False),
+    ("F4", 3, (1, 2), 1, False),
+    ("A3", 2, (), 2, True),
+    ("C3", 2, (1, 3), 0, False),
+])
+def test_hasse_matches_pairwise_cover_relation(label, p, levi, M, normalized):
+    d = hasse_diagram(q(label, p, levi, M, normalized))
+    assert d.edges == _pairwise_covers(d.schemes)
+    if M == 0:
+        assert len(d.schemes) == 1 and d.edges == ()
+    else:
+        assert d.edges
+
+
+def test_containment_bitsets_reject_mixed_primes():
+    from parabolics.errors import MismatchedSchemes
+    from parabolics.phi import _containment_bitsets
+
+    P2 = block_phi(B2, 2, rank_one_catalog(B2, 2, 1, 1)[0])
+    P3 = block_phi(B2, 3, rank_one_catalog(B2, 3, 1, 1)[0])
+    with pytest.raises(MismatchedSchemes):
+        _containment_bitsets([P2, P3])
+
+
 # ---------------------------------------------------------------------------
 # writers
 

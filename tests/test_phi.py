@@ -520,6 +520,33 @@ def test_admitted_block_kinds_golden_table():
         assert got == expected, (label, p)
 
 
+def test_anchored_candidates_reject_alpha_outside_the_rank():
+    from parabolics import anchored_candidates
+
+    for alpha in (0, B2.rank + 1):
+        with pytest.raises(InvalidScheme):
+            anchored_candidates(B2, 2, alpha, 1)
+    assert [str(b) for b in anchored_candidates(B2, 2, 2, 1)] == \
+        ["VerySpecial(0)@a2", "Standard(1)@a2"]
+
+
+def test_blocks_compare_and_hash_by_value():
+    assert standard_block(1, 2) == standard_block(1, 2)
+    assert hash(very_special_block(2, 0)) == hash(very_special_block(2, 0))
+    assert standard_block(1, 0) != very_special_block(1, 0)
+    assert len({standard_block(1, 0), standard_block(1, 0), exotic_h_block(0)}) == 2
+
+
+def test_blocks_have_no_natural_order():
+    blocks = [standard_block(1, 0), very_special_block(1, 0), standard_block(2, 1),
+              exotic_h_block(0), exotic_l_block(1)]
+    for a, b in itertools.permutations(blocks, 2):
+        with pytest.raises(TypeError):
+            a < b
+        with pytest.raises(TypeError):
+            sorted([a, b])
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
