@@ -30,13 +30,7 @@ from .rootsys import (
     root_system,
     very_special_dual,
 )
-from .chevalley import (
-    ChainData,
-    chain_data,
-    down_chain_length,
-    structure_constant_magnitude,
-    vanishes_mod_p,
-)
+from .chevalley import structure_constant_magnitude, vanishes_mod_p
 from .phi import (
     INFINITE,
     BlockKind,

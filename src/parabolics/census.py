@@ -24,7 +24,6 @@ from .phi import (
     _check_prime,
     _containment_bitsets,
     block_phi,  # unused here; the benchmark's tracer test reads census.block_phi
-    full_group_scheme,
     is_normalized,
     is_valid,
     reduced_scheme,
@@ -87,8 +86,6 @@ def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     guard."""
     rs = q.system
     levi = check_levi(rs, q.levi)
-    if not set(range(1, rs.rank + 1)) - levi:
-        return (full_group_scheme(rs, q.p),)
     domain = reduced_scheme(rs, q.p, levi).domain
     if (q.max_height + 2) ** len(domain) > BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(

@@ -8,21 +8,10 @@ r+1 and its vanishing modulo p are needed here; signs are never computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegenerateRootPair, NotARoot
+from .errors import DegenerateRootPair
 from .rootsys import Root, RootSystem
-
-
-@dataclass(frozen=True)
-class ChainData:
-    """Down-chain data for a composable pair: gamma - r*delta is a root,
-    gamma - (r+1)*delta is not."""
-
-    gamma: Root
-    delta: Root
-    r: int
 
 
 def _check_pair(rs: RootSystem, gamma: Root, delta: Root) -> None:
@@ -40,18 +29,6 @@ def _down_steps(rs: RootSystem, gamma: Root, delta: Root) -> int:
         r += 1
         cur = cur - delta
     return r
-
-
-def down_chain_length(rs: RootSystem, gamma: Root, delta: Root) -> int:
-    """r such that gamma - r*delta, ..., gamma, gamma + delta are all roots."""
-    _check_pair(rs, gamma, delta)
-    if not rs.is_root(gamma + delta):
-        raise NotARoot(f"{gamma} + {delta} is not a root")
-    return _down_steps(rs, gamma, delta)
-
-
-def chain_data(rs: RootSystem, gamma: Root, delta: Root) -> ChainData:
-    return ChainData(gamma, delta, down_chain_length(rs, gamma, delta))
 
 
 def structure_constant_magnitude(rs: RootSystem, gamma: Root, delta: Root) -> int:

@@ -69,12 +69,17 @@ def _system(args):
 
 def _load_scheme(args) -> ParabolicScheme:
     path = args.input
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    data = json.loads(raw)
+    try:
+        if path == "-":
+            raw = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        data = json.loads(raw)
+    except UnicodeDecodeError as exc:
+        raise InvalidScheme(f"scheme input is not UTF-8: {exc}") from None
+    except RecursionError:
+        raise InvalidScheme("scheme JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise InvalidScheme("scheme JSON must be an object")
     data.setdefault("type", args.type)
@@ -267,9 +272,7 @@ def _cmd_dual(args, out) -> int:
             "dual_type": str(dual.rtype),
             "simple_map": list(bij.simple_map),
             "bijection": {
-                json.dumps(list(g.coeffs), separators=(",", ":")):
-                    list(bij.forward(g).coeffs)
-                for g in rs.positive_roots
+                k: list(bij.forward(g).coeffs) for k, g in zip(_json_keys(rs), rs.positive_roots)
             },
         }
         print(_json(data), file=out)

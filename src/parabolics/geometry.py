@@ -27,13 +27,13 @@ from .phi import (
     normalize,
     reduced_scheme,
 )
-from .rootsys import very_special_dual
 from .rootsys import (
     Root,
     RootSystem,
     RootSystemType,
     find_incidence_root,
     levi_components,
+    very_special_dual,
 )
 
 
@@ -44,20 +44,12 @@ class Character:
 
     coeffs: Tuple[int, ...]
 
-    def __add__(self, other: "Character") -> "Character":
-        return Character(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __str__(self) -> str:
         return str(Root(self.coeffs))
 
 
 def character_pairing(rs: RootSystem, lam: Character, gamma: Root) -> int:
-    P = rs.pairing_matrix
-    return sum(
-        ci * P[i][j] * dj
-        for i, ci in enumerate(lam.coeffs) if ci
-        for j, dj in enumerate(gamma.coeffs) if dj
-    )
+    return rs.pairing(lam, gamma)  # the form reads only .coeffs
 
 
 def dimension(P: ParabolicScheme) -> int:

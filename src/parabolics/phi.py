@@ -51,6 +51,7 @@ from .rootsys import (
     Root,
     RootSystem,
     RootSystemType,
+    _check_int,
     build_root_system,
     check_levi,
     levi_positive_roots,
@@ -191,7 +192,7 @@ class ParabolicScheme:
 
     @property
     def domain(self) -> Tuple[Root, ...]:
-        return tuple(g for g, _ in self.phi_items())
+        return _off_levi(self.rs, self.levi)
 
     def height(self, gamma: Root) -> Height:
         """Height of the scheme on a positive root; INFINITE on Levi roots."""
@@ -263,9 +264,9 @@ class ParabolicScheme:
         heights must all be JSON integers."""
         try:
             rtype = RootSystemType.parse(data["type"])
-            levi = [_json_int(i) for i in data["levi"]]
+            levi = list(data["levi"])
             phi = {
-                Root.from_coeffs(_json_int(c) for c in json.loads(k)): v
+                Root(tuple(_check_int(c) for c in json.loads(k))): v
                 for k, v in data["phi"].items()
             }
             p = data["prime"]
@@ -284,12 +285,6 @@ def _json_keys(rs: RootSystem) -> Tuple[str, ...]:
 def _text_prefixes(rs: RootSystem) -> Tuple[str, ...]:
     """Text row prefix ("\\n  phi(a1+a2) = ") of each positive root, indexed like heights."""
     return tuple(f"\n  phi({g}) = " for g in rs.positive_roots)
-
-
-def _json_int(v: object) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InvalidScheme(f"{v!r} is not an integer")
-    return v
 
 
 def reduced_scheme(rs: RootSystem, p: int, levi: Iterable[int] = ()) -> ParabolicScheme:
@@ -655,6 +650,19 @@ def _require_edge(P: ParabolicScheme) -> None:
         )
 
 
+def _transport(P: ParabolicScheme, long_shift: int, short_shift: int) -> ParabolicScheme:
+    """P carried to the dual system along the length-exchanging bijection,
+    adding long_shift to the heights on long roots, short_shift on short ones."""
+    dual, bij = very_special_dual(P.rs)
+    levi = frozenset(bij.simple_map[i - 1] for i in P.levi)
+    phi = {
+        bij.forward(g): v + (short_shift if short else long_shift)
+        for g, short, v in zip(P.rs.positive_roots, P.rs.short, P.heights)
+        if v is not INFINITE
+    }
+    return ParabolicScheme(dual, P.p, levi, phi)
+
+
 def vsi_pullback(P: ParabolicScheme) -> ParabolicScheme:
     """Pull back along the very special isogeny (dual system -> this system).
 
@@ -663,14 +671,7 @@ def vsi_pullback(P: ParabolicScheme) -> ParabolicScheme:
     gamma short.
     """
     _require_edge(P)
-    dual, bij = very_special_dual(P.rs)
-    levi = frozenset(bij.simple_map[i - 1] for i in P.levi)
-    phi: Dict[Root, int] = {
-        bij.forward(g): v if short else v + 1
-        for g, short, v in zip(P.rs.positive_roots, P.rs.short, P.heights)
-        if v is not INFINITE
-    }
-    return ParabolicScheme(dual, P.p, levi, phi)
+    return _transport(P, 1, 0)
 
 
 def vsi_pushforward(P: ParabolicScheme) -> ParabolicScheme:
@@ -680,18 +681,10 @@ def vsi_pushforward(P: ParabolicScheme) -> ParabolicScheme:
     i.e. every short root off the Levi has height >= 1.
     """
     _require_edge(P)
-    items = [
-        (g, short, v)
-        for g, short, v in zip(P.rs.positive_roots, P.rs.short, P.heights)
-        if v is not INFINITE
-    ]
-    for g, short, v in items:
-        if short and v < 1:
+    for g, short, v in zip(P.rs.positive_roots, P.rs.short, P.heights):
+        if short and v == 0:
             raise KernelNotContained(f"height 0 at short root {g}")
-    dual, bij = very_special_dual(P.rs)
-    levi = frozenset(bij.simple_map[i - 1] for i in P.levi)
-    phi = {bij.forward(g): v - 1 if short else v for g, short, v in items}
-    return ParabolicScheme(dual, P.p, levi, phi)
+    return _transport(P, 0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,17 @@ _POSITIVE_COUNT = {
     "G": lambda n: 6,
 }
 
+#: the ranks each series admits
+_RANK_OK = {
+    "A": lambda n: n >= 1,
+    "B": lambda n: n >= 2,
+    "C": lambda n: n >= 2,
+    "D": lambda n: n >= 3,
+    "E": lambda n: n in (6, 7, 8),
+    "F": lambda n: n == 4,
+    "G": lambda n: n == 2,
+}
+
 SHORT = "short"
 LONG = "long"
 
@@ -56,22 +67,14 @@ class RootSystemType:
     def __post_init__(self) -> None:
         if self.series not in SERIES:
             raise InvalidRootSystem(f"unknown series {self.series!r}")
-        ok = {
-            "A": self.rank >= 1,
-            "B": self.rank >= 2,
-            "C": self.rank >= 2,
-            "D": self.rank >= 3,
-            "E": self.rank in (6, 7, 8),
-            "F": self.rank == 4,
-            "G": self.rank == 2,
-        }[self.series]
-        if not ok:
+        rank = self.rank
+        if not isinstance(rank, int) or isinstance(rank, bool) or not _RANK_OK[self.series](rank):
             raise InvalidRootSystem(f"rank {self.rank} invalid for series {self.series}")
 
     @classmethod
     def parse(cls, label: str) -> "RootSystemType":
         label = label.strip()
-        if len(label) < 2 or not label[1:].isdigit():
+        if len(label) < 2 or not label[1:].isdecimal():
             raise InvalidRootSystem(f"cannot parse type label {label!r}")
         return cls(label[0].upper(), int(label[1:]))
 
@@ -87,10 +90,6 @@ class Root:
 
     @classmethod
     def of(cls, *coeffs: int) -> "Root":
-        return cls(tuple(int(c) for c in coeffs))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "Root":
         return cls(tuple(int(c) for c in coeffs))
 
     def __add__(self, other: "Root") -> "Root":
@@ -213,20 +212,13 @@ class RootSystem:
         #: position of each positive root in `positive_roots`; schemes index
         #: their height vectors by it
         self.index: Dict[Root, int] = {g: i for i, g in enumerate(self.positive_roots)}
-        self._length = {r: self._squared_length(r) for r in self.roots}
-        short_len = min(self._length[r] for r in self.positive_roots)
-        long_len = max(self._length[r] for r in self.positive_roots)
-        # simply laced systems report every root as long
-        self._class = {
-            r: (SHORT if (short_len < long_len and l == short_len) else LONG)
-            for r, l in self._length.items()
-        }
-        #: whether each positive root is short, indexed like `positive_roots`
-        self.short: Tuple[bool, ...] = tuple(
-            self._class[g] == SHORT for g in self.positive_roots
-        )
-        self.is_simply_laced = short_len == long_len
-        self.max_edge_multiplicity = long_len // 2 if not self.is_simply_laced else 1
+        squared = [self.pairing(g, g) for g in self.positive_roots]
+        longest = max(squared)
+        #: whether each positive root is short, indexed like `positive_roots`;
+        #: simply laced systems have every root long
+        self.short: Tuple[bool, ...] = tuple(l < longest for l in squared)
+        self.is_simply_laced = not any(self.short)
+        self.max_edge_multiplicity = longest // min(squared)
 
     # -- construction helpers -------------------------------------------------
 
@@ -253,9 +245,6 @@ class RootSystem:
 
     def _cartan_pair_raw(self, gamma: Root, i: int) -> int:
         return sum(c * self.cartan[j][i] for j, c in enumerate(gamma.coeffs))
-
-    def _squared_length(self, gamma: Root) -> int:
-        return self.pairing(gamma, gamma)
 
     # -- queries ---------------------------------------------------------------
 
@@ -288,13 +277,11 @@ class RootSystem:
             for j, dj in enumerate(delta.coeffs) if dj
         )
 
-    def support(self, gamma: Root) -> FrozenSet[int]:
-        self.check_root(gamma)
-        return gamma.support()
-
     def length_class(self, gamma: Root) -> str:
+        """SHORT or LONG; every root of a simply laced system is LONG."""
         self.check_root(gamma)
-        return self._class[gamma]
+        i = self.index[gamma] if gamma in self.index else self.index[-gamma]
+        return SHORT if self.short[i] else LONG
 
     def epsilon(self, gamma: Root) -> Tuple[Fraction, ...]:
         dim = len(self.epsilon_coords[0])
@@ -330,8 +317,15 @@ def root_system(label: str) -> RootSystem:
 # Levi subsets
 
 
+def _check_int(v: object) -> int:
+    """v itself if it is an int (not a bool); input is never coerced."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InvalidScheme(f"{v!r} is not an integer")
+    return v
+
+
 def check_levi(rs: RootSystem, levi: Iterable[int]) -> FrozenSet[int]:
-    I = frozenset(int(i) for i in levi)
+    I = frozenset([_check_int(i) for i in levi])
     if not I <= set(range(1, rs.rank + 1)):
         raise InvalidScheme(f"Levi subset {sorted(I)} outside 1..{rs.rank}")
     return I
@@ -448,7 +442,7 @@ def find_incidence_root(
     joining the two sides, all interior nodes lying in the Levi.
     """
     I = check_levi(rs, levi)
-    L = frozenset(int(i) for i in left)
+    L = frozenset([_check_int(i) for i in left])
     outside = frozenset(range(1, rs.rank + 1)) - I
     if not L or not L <= outside:
         raise InvalidPartition(f"left side {sorted(L)} must be nonempty inside Delta\\I")
@@ -519,21 +513,6 @@ class LeviComponent:
         return Root(tuple(coeffs))
 
 
-def _candidate_types(rank: int) -> List[RootSystemType]:
-    out = [RootSystemType("A", rank)] if rank >= 1 else []
-    if rank >= 2:
-        out += [RootSystemType("B", rank), RootSystemType("C", rank)]
-    if rank >= 3:
-        out.append(RootSystemType("D", rank))
-    if rank in (6, 7, 8):
-        out.append(RootSystemType("E", rank))
-    if rank == 4:
-        out.append(RootSystemType("F", 4))
-    if rank == 2:
-        out.append(RootSystemType("G", 2))
-    return out
-
-
 def levi_components(rs: RootSystem, subset: Iterable[int]) -> Tuple[LeviComponent, ...]:
     """Split a set of simple indices into connected components and classify
     each induced sub-diagram as a standard irreducible type."""
@@ -561,7 +540,7 @@ def levi_components(rs: RootSystem, subset: Iterable[int]) -> Tuple[LeviComponen
         r = len(nodes)
         sub = [[rs.cartan[a - 1][b - 1] for b in nodes] for a in nodes]
         match: Optional[LeviComponent] = None
-        for cand in _candidate_types(r):
+        for cand in (RootSystemType(s, r) for s in SERIES if _RANK_OK[s](r)):
             cs = build_root_system(cand)
             for perm in itertools.permutations(range(r)):
                 # perm[k] = position in `nodes` realising candidate index k+1

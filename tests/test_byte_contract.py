@@ -1,8 +1,8 @@
 """CLI output is a byte contract: these digests must not move.
 
 Each case runs one subcommand through ``cli.run`` and compares the sha256 of
-its stdout with a digest recorded before the scheme representation was
-rewritten.  A refactor that changes any byte of the output fails here.
+its stdout with a digest recorded before the code it covers was last
+refactored.  A refactor that changes any byte of the output fails here.
 """
 
 import hashlib
@@ -20,6 +20,20 @@ SCHEME = {
     "phi": {"[1,0,0]": 2, "[0,0,1]": 1, "[1,1,0]": 1, "[0,1,1]": 3,
             "[1,1,1]": 0, "[0,1,2]": 2, "[1,1,2]": 1, "[1,2,2]": 1},
 }
+
+#: SCHEME with height 2 on the short root a1+a2+a3, so every short root off
+#: the Levi has height >= 1 and `dual --pushforward` applies
+SHORT_THICK = dict(SCHEME, phi=dict(SCHEME["phi"], **{"[1,1,1]": 2}))
+
+#: a B3, p=2 census scheme whose fibration sequence strips two kernels and
+#: has a two-factor fiber
+FIBERED = {
+    "type": "B3", "prime": 2, "levi": [],
+    "phi": {"[0,0,1]": 2, "[0,1,0]": 0, "[0,1,1]": 0, "[0,1,2]": 0, "[1,0,0]": 2,
+            "[1,1,0]": 0, "[1,1,1]": 0, "[1,1,2]": 0, "[1,2,2]": 0},
+}
+
+INPUTS = {"SCHEME": SCHEME, "SHORT_THICK": SHORT_THICK, "FIBERED": FIBERED}
 
 CASES = {
     "census-json": (["census", "--type", "B3", "--prime", "2", "--max-height", "2",
@@ -71,14 +85,40 @@ CASES = {
                  "a63e0a0a63826c0168474b0062ab4273d4b665c878cf12d6f1ac822eabdaffcf"),
     "reconstruct": (["reconstruct", "--type", "B3", "--prime", "2", "--input", "SCHEME"], 0,
                     "1107d89c862a07bce704f2cac3b901d9db907a4f4580ee16ba0038e754392860"),
+    "info-text-b3": (["info", "--type", "B3"], 0,
+                     "38aec0f8bec6f0751735f8152c2e3918e757edbdb75aa72a6b4407f2d11fb651"),
+    "info-json-b3": (["info", "--type", "B3", "--format", "json"], 0,
+                     "83759984cd5adbf97506d6bfc3b59fcde2859f37c9b5cb0c6d9675bd8a020c4f"),
+    "info-text-g2": (["info", "--type", "G2"], 0,
+                     "1ae2c695c719fede8f310a5c666d8e453ead38bf147cf80fe63c65e419e03db9"),
+    "info-json-g2": (["info", "--type", "G2", "--format", "json"], 0,
+                     "1ed0f6275194cf38daafb5916dbae413f37c307baca2d4c1f80b4704d5d29544"),
+    "d4-json": (["d4", "--type", "F4"], 0,
+                "9c1e1a37103fec0d164eb20d84bf0d21b6f78ff3d33f86171bd6159889aac8f0"),
+    "d4-text": (["d4", "--type", "F4", "--format", "text"], 0,
+                "2cb3a223b8a9d49055a4dd9aae7f9780dc881225a567c3c2ba18cd2caf2fc062"),
+    "dual-json-b3": (["dual", "--type", "B3"], 0,
+                     "18941f65977ee48161b7329087392655a66c190be55eee2f7201b48f8075760b"),
+    "dual-csv-b3": (["dual", "--type", "B3", "--format", "csv"], 0,
+                    "cb20ebf5bc661410168f04aaaa2c0eb547d39e3ad49b810cb4529d1625cf8242"),
+    "dual-pullback": (["dual", "--type", "B3", "--input", "SCHEME"], 0,
+                      "061a53ebcb16d04aeb783af98af2595e0dc4e65735ef676b33ac547e2e7c9c12"),
+    "dual-pushforward": (["dual", "--type", "B3", "--input", "SHORT_THICK", "--pushforward"], 0,
+                         "521a359b0b062ea6dff3e951c3951108be6eabc07c7583fe8f7a085fd31523de"),
+    "constants-g2": (["constants", "--type", "G2"], 0,
+                     "c9cb3a88947c8de493bae69eabe4262657ff165a55442c0c4d57f1196f717192"),
+    "fibrations": (["fibrations", "--type", "B3", "--prime", "2", "--input", "FIBERED"], 0,
+                   "b0981044f0724f9803b89c0bc6783449fd89422b93f18cd1e2d12202912fb210"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_digest(name, tmp_path):
     argv, code, digest = CASES[name]
-    path = tmp_path / "scheme.json"
-    path.write_text(json.dumps(SCHEME))
+    paths = {}
+    for key, data in INPUTS.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(data))
     buf = io.StringIO()
-    assert run([str(path) if a == "SCHEME" else a for a in argv], out=buf) == code
+    assert run([str(paths.get(a, a)) for a in argv], out=buf) == code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

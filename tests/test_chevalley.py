@@ -4,39 +4,44 @@ import pytest
 
 from parabolics import (
     Root,
-    chain_data,
-    down_chain_length,
     root_system,
     structure_constant_magnitude,
     vanishes_mod_p,
 )
 from parabolics.errors import DegenerateRootPair, NotARoot
 
+# The magnitude is r + 1 for the down-chain length r of a composable pair.
+
 
 def test_down_chain_g2_examples():
     g2 = root_system("G2")
     # chain through -2a1-a2 along -a1-a2: -2a1-a2, -a1, a2 are roots,
-    # a1+2a2 is not (brute membership walks)
+    # a1+2a2 is not (brute membership walks), so r = 2
     gamma, delta = Root.of(-2, -1), Root.of(-1, -1)
     assert g2.is_root(gamma - delta) and g2.is_root(gamma - delta - delta)
     assert not g2.is_root(Root.of(1, 2))
-    assert down_chain_length(g2, gamma, delta) == 2
-    # -3a1-a2 minus -a2 is -3a1, not a root
+    assert structure_constant_magnitude(g2, gamma, delta) == 3
+    # -3a1-a2 minus -a2 is -3a1, not a root, so r = 0
     assert not g2.is_root(Root.of(-3, 0))
-    assert down_chain_length(g2, Root.of(-3, -1), Root.of(0, -1)) == 0
+    assert structure_constant_magnitude(g2, Root.of(-3, -1), Root.of(0, -1)) == 1
 
 
 def test_down_chain_a2():
     a2 = root_system("A2")
-    assert down_chain_length(a2, Root.of(1, 0), Root.of(0, 1)) == 0
-    data = chain_data(a2, Root.of(1, 0), Root.of(0, 1))
-    assert data.r == 0
+    # a1 - a2 is not a root, so r = 0 in both orders
+    assert not a2.is_root(Root.of(1, -1))
+    assert structure_constant_magnitude(a2, Root.of(1, 0), Root.of(0, 1)) == 1
+    assert structure_constant_magnitude(a2, Root.of(0, 1), Root.of(1, 0)) == 1
 
 
 def test_down_chain_requires_composable():
     b2 = root_system("B2")
+    # a1+2a2 plus a2 is not a root: no chain, magnitude 0 in both orders
+    assert not b2.is_root(Root.of(1, 3))
+    assert structure_constant_magnitude(b2, Root.of(1, 2), Root.of(0, 1)) == 0
+    assert structure_constant_magnitude(b2, Root.of(0, 1), Root.of(1, 2)) == 0
     with pytest.raises(NotARoot):
-        down_chain_length(b2, Root.of(1, 2), Root.of(0, 1))
+        structure_constant_magnitude(b2, Root.of(2, 0), Root.of(0, 1))
 
 
 def test_magnitude_examples():

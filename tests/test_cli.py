@@ -182,12 +182,15 @@ def test_domain_error_exit_code(capsys):
 
 def run_process(*argv, stdin=""):
     """The CLI in a fresh interpreter, so an escaping exception would show
-    as a traceback on stderr."""
+    as a traceback on stderr.  A bytes `stdin` is sent unchanged."""
     src = str(Path(parabolics.__file__).resolve().parents[1])
-    return subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-c", "from parabolics.cli import main; main()", *argv],
-        input=stdin, capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+        input=stdin if isinstance(stdin, bytes) else stdin.encode(),
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    return subprocess.CompletedProcess(
+        proc.args, proc.returncode, proc.stdout.decode(), proc.stderr.decode()
     )
 
 
@@ -196,6 +199,26 @@ def test_input_not_an_object_is_a_domain_error():
                        stdin="[1, 2, 3]")
     assert proc.returncode == 1
     assert proc.stderr.startswith("InvalidScheme:")
+    assert "Traceback" not in proc.stderr
+
+
+VALIDATE = ["validate", "--type", "B2", "--prime", "2", "--input"]
+
+
+@pytest.mark.parametrize("argv,data,error", [
+    (["info", "--type", "B²"], b"", "InvalidRootSystem"),  # a digit int() refuses
+    (VALIDATE + ["FILE"], b'{"levi": [\xff]}', "InvalidScheme"),
+    (VALIDATE + ["-"], b'{"levi": [\xff]}', "InvalidScheme"),
+    (VALIDATE + ["FILE"], b"[" * 200000 + b"]" * 200000, "InvalidScheme"),
+    (VALIDATE + ["-"], b'{"a":' * 200000 + b"1" + b"}" * 200000, "InvalidScheme"),
+], ids=["superscript-rank", "non-utf8-file", "non-utf8-stdin", "deep-file", "deep-stdin"])
+def test_hostile_input_is_a_named_domain_error(argv, data, error, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    proc = run_process(*[str(path) if a == "FILE" else a for a in argv], stdin=data)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(error + ":")
     assert "Traceback" not in proc.stderr
 
 

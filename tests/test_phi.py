@@ -18,6 +18,7 @@ from parabolics import (
     enne_check,
     exotic_h_block,
     exotic_l_block,
+    find_incidence_root,
     frobenius_pullback,
     full_group_scheme,
     generated_block,
@@ -120,6 +121,19 @@ def test_from_json_rejects_garbage():
     for data in garbage:
         with pytest.raises(InvalidScheme):
             ParabolicScheme.from_json_dict(data)
+
+
+@pytest.mark.parametrize("levi", [[1.9], [1.0], [True], [1, True], ["1"]])
+def test_levi_entries_are_never_coerced(levi):
+    # int() would make each of these the Levi {1}, which the phi below fits
+    phi = {Root.of(0, 1): 0, Root.of(1, 1): 0, Root.of(1, 2): 0}
+    with pytest.raises(InvalidScheme):
+        ParabolicScheme(B2, 2, levi, phi)
+    with pytest.raises(InvalidScheme):
+        reduced_scheme(B2, 2, levi)
+    with pytest.raises(InvalidScheme):
+        find_incidence_root(root_system("B3"), (), levi)
+    assert reduced_scheme(B2, 2, [1]).levi == {1}
 
 
 # ---------------------------------------------------------------------------

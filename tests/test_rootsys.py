@@ -44,6 +44,9 @@ def test_invalid_types():
         RootSystemType("E", 9)
     with pytest.raises(InvalidRootSystem):
         RootSystemType.parse("H4")
+    for rank in (2.0, True, "2"):  # a rank is an int, never coerced
+        with pytest.raises(InvalidRootSystem):
+            RootSystemType("A", rank)
 
 
 def test_b2_positive_roots():
@@ -93,14 +96,16 @@ def test_pairing_symmetry_and_lengths():
 
 
 def test_support():
+    assert Root.of(1, 2).support() == {1, 2}
+    assert Root.of(0, 1).support() == {2}
+    assert Root.of(1, 1, 1, 1).support() == {1, 2, 3, 4}
+    assert Root.of(0, -1, -2).support() == {2, 3}
+    # a bare coefficient vector has a support whether or not it is a root
     b2 = root_system("B2")
-    assert b2.support(Root.of(1, 2)) == {1, 2}
-    g2 = root_system("G2")
-    assert g2.support(Root.of(0, 1)) == {2}
-    f4 = root_system("F4")
-    assert f4.support(Root.of(1, 1, 1, 1)) == {1, 2, 3, 4}
+    assert not b2.is_root(Root.of(2, 0))
+    assert Root.of(2, 0).support() == {1}
     with pytest.raises(NotARoot):
-        b2.support(Root.of(2, 0))
+        b2.check_root(Root.of(2, 0))
 
 
 def test_length_classes():
@@ -113,6 +118,21 @@ def test_length_classes():
     # squared length of 2a1+a2 is 8 + 6 - 12 = 2
     assert g2.pairing(Root.of(2, 1), Root.of(2, 1)) == 2
     assert g2.length_class(Root.of(2, 1)) == SHORT
+
+
+@pytest.mark.parametrize("label,shorts", [
+    ("A3", 0), ("B3", 3), ("C3", 6), ("D4", 0), ("F4", 12), ("G2", 3), ("E6", 0),
+])
+def test_length_class_on_every_root(label, shorts):
+    rs = root_system(label)
+    longest = max(rs.pairing(g, g) for g in rs.roots)
+    for g in rs.roots:
+        expect = SHORT if rs.pairing(g, g) < longest else LONG
+        assert rs.length_class(g) == rs.length_class(-g) == expect
+    assert sum(rs.length_class(g) == SHORT for g in rs.positive_roots) == shorts
+    assert rs.is_simply_laced == (shorts == 0)
+    with pytest.raises(NotARoot):
+        rs.length_class(rs.simple_roots[0] + rs.simple_roots[0])
 
 
 def test_simply_laced_all_long():
