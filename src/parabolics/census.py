@@ -16,7 +16,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from .errors import ExoticBlocksPresent, InvalidScheme, SearchSpaceTooLarge
 from .geometry import NotFanoCertificate, is_fano, not_fano_certificate, picard_rank
 from .phi import (
-    BlockKind,
     ParabolicScheme,
     RankOneBlock,
     _block_kinds,
@@ -52,17 +51,18 @@ class CensusQuery:
 
 
 def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> List[RankOneBlock]:
-    """All catalog blocks at alpha whose heights stay within the bound:
-    Standard(0..M), and every other kind admitted at alpha at 0..M-1 (those
-    reach height m+1)."""
+    """All catalog blocks at alpha whose top height stays within the bound,
+    kind by kind in catalog order, then by m: Standard(0..M), and every other
+    kind admitted at alpha at 0..M-1."""
     check_levi(rs, [alpha])
     if max_height < 0:
         raise InvalidScheme("max_height must be >= 0")
-    return [
+    blocks = (
         RankOneBlock(alpha, kind, m)
         for kind in _block_kinds(rs, p, alpha)
-        for m in range(max_height + 1 if kind is BlockKind.STANDARD else max_height)
-    ]
+        for m in range(max_height + 1)
+    )
+    return [b for b in blocks if b.top <= max_height]
 
 
 def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:

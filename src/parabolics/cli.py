@@ -36,6 +36,7 @@ from .geometry import (
 )
 from .phi import (
     ParabolicScheme,
+    _canonical,
     _json_keys,
     block_phi,
     reconstruct,
@@ -48,10 +49,6 @@ from .rootsys import (
     long_root_subsystem,
     very_special_dual,
 )
-
-
-def _json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _parse_levi(text: str) -> List[int]:
@@ -100,7 +97,7 @@ def _cmd_info(args, out) -> int:
             "length_class": [rs.length_class(g) for g in rs.positive_roots],
             "incidence_threshold": str(incidence_threshold(rs)),
         }
-        print(_json(data), file=out)
+        print(_canonical(data), file=out)
         return 0
     print(f"root system {rs.rtype}: rank {rs.rank}, "
           f"{len(rs.positive_roots)} positive roots", file=out)
@@ -132,7 +129,7 @@ def _cmd_blocks(args, out) -> int:
             records.append((str(b), P))
     if args.format == "json":
         for name, P in records:
-            print(_json({"block": name, "scheme": P.to_json_dict()}), file=out)
+            print(_canonical({"block": name, "scheme": P.to_json_dict()}), file=out)
     else:
         for name, P in records:
             heights = ", ".join(f"{g}:{v}" for g, v in P.phi_items())
@@ -144,10 +141,10 @@ def _cmd_validate(args, out) -> int:
     P = _load_scheme(args)
     R = reconstruct(P)
     if R == P:
-        print(_json({"valid": True, "scheme": P.to_json_dict()}), file=out)
+        print(_canonical({"valid": True, "scheme": P.to_json_dict()}), file=out)
         return 0
     diff = {k: [a, b] for k, a, b in zip(_json_keys(P.rs), P.heights, R.heights) if a != b}
-    print(_json({"valid": False, "diff": diff}), file=out)
+    print(_canonical({"valid": False, "diff": diff}), file=out)
     print("InvalidScheme: reconstruction differs from input", file=sys.stderr)
     return 1
 
@@ -155,8 +152,8 @@ def _cmd_validate(args, out) -> int:
 def _cmd_reconstruct(args, out) -> int:
     P = _load_scheme(args)
     R = reconstruct(P)
-    print(_json({"input": P.to_json_dict(), "reconstructed": R.to_json_dict(),
-                 "fixpoint": R == P}), file=out)
+    print(_canonical({"input": P.to_json_dict(), "reconstructed": R.to_json_dict(),
+                      "fixpoint": R == P}), file=out)
     return 0
 
 
@@ -204,12 +201,12 @@ def _cmd_fano(args, out) -> int:
                     "threshold": str(r.certificate.threshold),
                     "pairing_value": r.certificate.pairing_value,
                 }
-            print(_json(data), file=out)
+            print(_canonical(data), file=out)
     elif args.format == "text":
         for r in rows:
             mark = "fano" if r.fano else "not-fano"
             print(f"{r.scheme.to_text()}\n  -> {mark}", file=out)
-        print(_json(fano_summary(rows)), file=out)
+        print(_canonical(fano_summary(rows)), file=out)
     else:
         print(fano_to_csv(rows), end="", file=out)
     return 0
@@ -230,8 +227,8 @@ def _cmd_fibrations(args, out) -> int:
             ],
             "stripped": [{"kind": k.kind.value, "m": k.m} for k in s.stripped],
         })
-    print(_json({"steps": data, "dimension": dimension(P),
-                 "picard_rank": picard_rank(P)}), file=out)
+    print(_canonical({"steps": data, "dimension": dimension(P),
+                      "picard_rank": picard_rank(P)}), file=out)
     return 0
 
 
@@ -250,7 +247,7 @@ def _cmd_d4(args, out) -> int:
         for b in sub.basis:
             print(f"  basis {list(b.coeffs)}  {b}", file=out)
     else:
-        print(_json(data), file=out)
+        print(_canonical(data), file=out)
     return 0
 
 
@@ -259,7 +256,7 @@ def _cmd_dual(args, out) -> int:
     if args.input:
         P = _load_scheme(args)
         Q = vsi_pushforward(P) if args.pushforward else vsi_pullback(P)
-        print(_json(Q.to_json_dict()), file=out)
+        print(_canonical(Q.to_json_dict()), file=out)
         return 0
     dual, bij = very_special_dual(rs)
     if args.format == "csv":
@@ -275,7 +272,7 @@ def _cmd_dual(args, out) -> int:
                 k: list(bij.forward(g).coeffs) for k, g in zip(_json_keys(rs), rs.positive_roots)
             },
         }
-        print(_json(data), file=out)
+        print(_canonical(data), file=out)
     return 0
 
 

@@ -20,8 +20,9 @@ from .phi import (
     KernelRecord,
     ParabolicScheme,
     RankOneBlock,
+    _chain_key,
+    _generated_blocks,
     block_phi,
-    generated_block,
     intersect_all,
     is_normalized,
     normalize,
@@ -95,14 +96,7 @@ def smooth_contraction_roots(P: ParabolicScheme) -> FrozenSet[int]:
 
 
 def _smooth(blocks: Dict[int, RankOneBlock]) -> FrozenSet[int]:
-    return frozenset(a for a, b in blocks.items() if b.kind is BlockKind.STANDARD and b.m == 0)
-
-
-def _generated_blocks(P: ParabolicScheme) -> Dict[int, RankOneBlock]:
-    return {
-        a: generated_block(P, a)
-        for a in sorted(set(range(1, P.rs.rank + 1)) - P.levi)
-    }
+    return frozenset(a for a, b in blocks.items() if b.top == 0)  # only Standard(0)
 
 
 def _require_quasi_standard(blocks: Dict[int, RankOneBlock]) -> None:
@@ -333,40 +327,26 @@ class NotFanoCertificate:
             raise InvalidScheme("certificate pairing must be negative")
 
 
-def _kernel_order_key(b: RankOneBlock) -> Tuple[int, int]:
-    # chain 1 < N0 < G1 < N1 < G2 < ...: Standard(m) at 2m, VerySpecial(m) at 2m+1
-    if b.kind is BlockKind.STANDARD:
-        return (2 * b.m, b.alpha)
-    return (2 * b.m + 1, b.alpha)
-
-
-def _kernel_upper(b: RankOneBlock) -> int:
-    """Least t with the block kernel inside the t-th Frobenius kernel."""
-    return b.m if b.kind is BlockKind.STANDARD else b.m + 1
-
-
-def _kernel_lower(b: RankOneBlock) -> int:
-    """Greatest t with the t-th Frobenius kernel inside the block kernel."""
-    return b.m
-
-
 def not_fano_certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
     """Incidence certificate for a normalized quasi-standard scheme of Picard
-    rank at least two; None when no kernel gap exceeds the threshold."""
+    rank at least two; None when no kernel gap exceeds the threshold.
+
+    The generated blocks are cut in chain order; the gap of a cut is the
+    least m after it minus the greatest top before it, and the first cut with
+    p**gap > H gives the left side of the incidence root."""
     _require_normalized(P)
     if picard_rank(P) < 2:
         raise InvalidScheme("certificate machinery needs Picard rank >= 2")
     blocks = _generated_blocks(P)
     _require_quasi_standard(blocks)
-    ordered = sorted(blocks.values(), key=_kernel_order_key)
+    ordered = sorted(blocks.values(), key=lambda b: (_chain_key(b), b.alpha))
     H = incidence_threshold(P.rs)
-    chi = anticanonical_character(P)
     for i in range(1, len(ordered)):
-        m0 = max(_kernel_upper(b) for b in ordered[:i])
-        gap = min(_kernel_lower(b) for b in ordered[i:]) - m0
+        gap = min(b.m for b in ordered[i:]) - max(b.top for b in ordered[:i])
         if gap >= 1 and P.p ** gap > H:
             left = frozenset(b.alpha for b in ordered[:i])
             l, delta = find_incidence_root(P.rs, P.levi, left)
+            chi = anticanonical_character(P)
             value = character_pairing(P.rs, chi, P.rs.simple_roots[l - 1])
             return NotFanoCertificate(
                 beta_l=l, delta=delta, threshold=H, pairing_value=value

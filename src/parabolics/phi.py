@@ -25,7 +25,10 @@ simple root off the Levi.  The block catalog at a simple root alpha:
 
 `_block_kinds` is the one statement of which kinds exist at which node; the
 block check, the census catalog and the anchored candidate chains are
-derived from it and from the block height vectors.
+derived from it and from the block height vectors.  A block's `top` is its
+largest height: m for Standard(m), m+1 for every other kind X(m).  The chain
+key m + top orders blocks along their kernel chain Standard(0) < X(0) <
+Standard(1) < X(1) < ..., for the anchored candidates and the certificate.
 
 Reconstruction recovers the minimal anchored block at each node and
 re-intersects; a height function is valid exactly when this is the identity.
@@ -36,7 +39,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import and_, or_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -244,7 +247,7 @@ class ParabolicScheme:
         }
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical(self.to_json_dict())
 
     def to_text(self) -> str:
         """A header line, then a `  phi(<root>) = <height>` line per root off the Levi."""
@@ -275,10 +278,14 @@ class ParabolicScheme:
         return cls(build_root_system(rtype), p, levi, phi)
 
 
+#: compact JSON with sorted keys, the form of every JSON line the package prints
+_canonical = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
 @lru_cache(maxsize=None)
 def _json_keys(rs: RootSystem) -> Tuple[str, ...]:
     """JSON key of each positive root ("[1,0,2]"), indexed like the heights."""
-    return tuple(json.dumps(list(g.coeffs), separators=(",", ":")) for g in rs.positive_roots)
+    return tuple(_canonical(list(g.coeffs)) for g in rs.positive_roots)
 
 
 @lru_cache(maxsize=None)
@@ -319,8 +326,22 @@ class RankOneBlock:
     kind: BlockKind
     m: int
 
+    def __post_init__(self) -> None:
+        _check_int(self.alpha)
+        _check_int(self.m)
+
+    @property
+    def top(self) -> int:
+        """The largest height of the block: m for Standard, m+1 for every other kind."""
+        return self.m if self.kind is BlockKind.STANDARD else self.m + 1
+
     def __str__(self) -> str:
         return f"{self.kind.value}({self.m})@a{self.alpha}"
+
+
+def _chain_key(b: RankOneBlock) -> int:
+    """Chain position: 2m for Standard(m), 2m+1 for any other kind X(m)."""
+    return b.m + b.top
 
 
 def standard_block(alpha: int, m: int) -> RankOneBlock:
@@ -347,13 +368,13 @@ _G2_A1A2 = Root.of(1, 1)
 _G2_2A1A2 = Root.of(2, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _block_kinds(rs: RootSystem, p: int, alpha: int) -> Tuple[BlockKind, ...]:
     """The block kinds admitted at the simple root alpha, in catalog order:
     Standard everywhere, VerySpecial under an edge of multiplicity p, and
     the two exotic kinds in G2, characteristic 2, at the short simple root.
-    Raises InvalidScheme for an alpha outside 1..rank."""
-    if not 1 <= alpha <= rs.rank:
+    Raises InvalidScheme for an alpha that is not an int in 1..rank."""
+    if not 1 <= _check_int(alpha) <= rs.rank:
         raise InvalidScheme(f"anchor a{alpha} outside 1..{rs.rank}")
     kinds = [BlockKind.STANDARD]
     if edge_hypothesis(rs, p):
@@ -437,7 +458,7 @@ def contains(P: ParabolicScheme, Q: ParabolicScheme) -> bool:
     """Whether P contains Q: heights of P dominate pointwise (Levi roots at
     infinity)."""
     _check_compatible(P, Q)
-    return P.levi >= Q.levi and all(map(height_ge, P.heights, Q.heights))
+    return all(map(height_ge, P.heights, Q.heights))
 
 
 def _containment_bitsets(schemes: Sequence[ParabolicScheme]) -> Tuple[List[int], List[int]]:
@@ -506,7 +527,7 @@ def _census_meets(
 # Generated blocks and reconstruction
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def anchored_candidates(
     rs: RootSystem, p: int, alpha: int, anchor: int
 ) -> Tuple[RankOneBlock, ...]:
@@ -517,10 +538,7 @@ def anchored_candidates(
         RankOneBlock(alpha, k, anchor - block_anchor_height(rs, RankOneBlock(alpha, k, 0)))
         for k in _block_kinds(rs, p, alpha)
     )
-    return tuple(sorted(
-        (b for b in blocks if b.m >= 0),
-        key=lambda b: (b.m, b.kind is not BlockKind.STANDARD),
-    ))
+    return tuple(sorted((b for b in blocks if b.m >= 0), key=_chain_key))
 
 
 def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
@@ -543,14 +561,15 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     return cands[-1]
 
 
+def _generated_blocks(P: ParabolicScheme) -> Dict[int, RankOneBlock]:
+    """The generated block at each simple root off the Levi, by node."""
+    return {a: generated_block(P, a) for a in range(1, P.rs.rank + 1) if a not in P.levi}
+
+
 def reconstruct(P: ParabolicScheme) -> ParabolicScheme:
     """Intersection of the generated blocks over the simple roots off the
     Levi; equals P exactly when P is a genuine parabolic scheme."""
-    vectors = [
-        _block_vector(P.rs, generated_block(P, a))[1]
-        for a in range(1, P.rs.rank + 1)
-        if a not in P.levi
-    ]
+    vectors = [_block_vector(P.rs, b)[1] for b in _generated_blocks(P).values()]
     if not vectors:
         return P
     heights = reduce(lambda h, v: tuple(map(height_min, h, v)), vectors)

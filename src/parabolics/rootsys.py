@@ -90,7 +90,7 @@ class Root:
 
     @classmethod
     def of(cls, *coeffs: int) -> "Root":
-        return cls(tuple(int(c) for c in coeffs))
+        return cls(tuple(_check_int(c) for c in coeffs))
 
     def __add__(self, other: "Root") -> "Root":
         return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -292,16 +292,6 @@ class RootSystem:
                     out[k] += c * self.epsilon_coords[i][k]
         return tuple(out)
 
-    def adjacency(self) -> Dict[int, FrozenSet[int]]:
-        """Dynkin-diagram neighbours, 1-based."""
-        return {
-            i: frozenset(
-                j for j in range(1, self.rank + 1)
-                if j != i and self.cartan[i - 1][j - 1] != 0
-            )
-            for i in range(1, self.rank + 1)
-        }
-
 
 @lru_cache(maxsize=None)
 def build_root_system(rtype: RootSystemType) -> RootSystem:
@@ -428,6 +418,18 @@ def long_root_subsystem(rs: RootSystem) -> LongRootSubsystem:
 
 
 # ---------------------------------------------------------------------------
+# Connected node sets of the Dynkin diagram
+
+
+@lru_cache(maxsize=None)
+def _connected_sets(rs: RootSystem) -> Tuple[Root, ...]:
+    """The positive roots with every coefficient 0 or 1, in root order: one
+    per connected set of Dynkin nodes, its support.  The support of a root
+    is connected, and the simple roots over a connected set sum to a root."""
+    return tuple(g for g in rs.positive_roots if max(g.coeffs) == 1)
+
+
+# ---------------------------------------------------------------------------
 # Incidence root for the finiteness argument
 
 
@@ -437,9 +439,10 @@ def find_incidence_root(
     """Pick l in `left` and a positive root delta with Supp(delta) disjoint
     from `left` and (delta, alpha_l) < 0.
 
-    `left` must be a nonempty proper subset of the non-Levi simple roots; the
-    returned delta is mu plus the interior of the shortest Dynkin segment
-    joining the two sides, all interior nodes lying in the Levi.
+    `left` must be a nonempty proper subset of the non-Levi simple roots.
+    The least connected node set meeting both sides, at l and mu, is the
+    shortest Dynkin segment between them; its interior lies in the Levi, and
+    delta is that set's 0/1 root minus alpha_l.
     """
     I = check_levi(rs, levi)
     L = frozenset([_check_int(i) for i in left])
@@ -450,39 +453,14 @@ def find_incidence_root(
     if not R:
         raise InvalidPartition("right side of the partition is empty")
 
-    adj = rs.adjacency()
-
-    def path(a: int, b: int) -> List[int]:
-        prev = {a: 0}
-        queue = [a]
-        while queue:
-            x = queue.pop(0)
-            if x == b:
-                break
-            for y in sorted(adj[x]):
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        seq = [b]
-        while seq[-1] != a:
-            seq.append(prev[seq[-1]])
-        return seq[::-1]
-
-    best: Optional[Tuple[int, int, int]] = None  # (distance, nu, mu)
-    for nu in sorted(L):
-        for mu in sorted(R):
-            d = len(path(nu, mu)) - 1
-            if best is None or (d, nu, mu) < best:
-                best = (d, nu, mu)
-    _, nu, mu = best
-    interior = path(nu, mu)[1:-1]
-    # interior nodes of a minimal segment are forced into the Levi
-    assert all(k in I for k in interior)
-    coeffs = [0] * rs.rank
-    coeffs[mu - 1] = 1
-    for k in interior:
-        coeffs[k - 1] += 1
-    delta = rs.check_root(Root(tuple(coeffs)))
+    _, nu, mu, coeffs = min(
+        (g.height, nu, mu, g.coeffs)
+        for g in _connected_sets(rs)
+        for nu in L if g.coeffs[nu - 1]
+        for mu in R if g.coeffs[mu - 1]
+    )
+    delta = rs.check_root(Root(coeffs) - rs.simple_roots[nu - 1])
+    assert delta.support() - {mu} <= I
     assert rs.pairing(delta, rs.simple_roots[nu - 1]) < 0
     return nu, delta
 
@@ -516,24 +494,13 @@ class LeviComponent:
 def levi_components(rs: RootSystem, subset: Iterable[int]) -> Tuple[LeviComponent, ...]:
     """Split a set of simple indices into connected components and classify
     each induced sub-diagram as a standard irreducible type."""
-    S = sorted(check_levi(rs, subset))
-    if not S:
-        return ()
-    adj = rs.adjacency()
-    remaining = set(S)
+    S = set(check_levi(rs, subset))
     comps: List[List[int]] = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        queue = [seed]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y in remaining and y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        remaining -= comp
-        comps.append(sorted(comp))
+    for g in reversed(_connected_sets(rs)):  # a component comes before its subsets
+        if g.support() <= S:
+            comps.append(sorted(g.support()))
+            S -= g.support()
+    comps.sort()
 
     out: List[LeviComponent] = []
     for nodes in comps:

@@ -33,7 +33,17 @@ FIBERED = {
             "[1,1,0]": 0, "[1,1,1]": 0, "[1,1,2]": 0, "[1,2,2]": 0},
 }
 
-INPUTS = {"SCHEME": SCHEME, "SHORT_THICK": SHORT_THICK, "FIBERED": FIBERED}
+#: a D4, p=3 scheme whose first contraction removes the branch node 2,
+#: leaving a fiber of three A1 factors
+D4_BRANCH = {
+    "type": "D4", "prime": 3, "levi": [],
+    "phi": {"[0,0,0,1]": 0, "[0,0,1,0]": 1, "[0,1,0,0]": 0, "[1,0,0,0]": 1, "[0,1,0,1]": 0,
+            "[0,1,1,0]": 0, "[1,1,0,0]": 0, "[0,1,1,1]": 0, "[1,1,0,1]": 0, "[1,1,1,0]": 0,
+            "[1,1,1,1]": 0, "[1,2,1,1]": 0},
+}
+
+INPUTS = {"SCHEME": SCHEME, "SHORT_THICK": SHORT_THICK, "FIBERED": FIBERED,
+          "D4_BRANCH": D4_BRANCH}
 
 CASES = {
     "census-json": (["census", "--type", "B3", "--prime", "2", "--max-height", "2",
@@ -109,6 +119,18 @@ CASES = {
                      "c9cb3a88947c8de493bae69eabe4262657ff165a55442c0c4d57f1196f717192"),
     "fibrations": (["fibrations", "--type", "B3", "--prime", "2", "--input", "FIBERED"], 0,
                    "b0981044f0724f9803b89c0bc6783449fd89422b93f18cd1e2d12202912fb210"),
+    "fibrations-d4-branch": (["fibrations", "--type", "D4", "--prime", "3", "--input",
+                              "D4_BRANCH"], 0,
+                             "be23696d75375c73778284ae62dd8f792c93837aed58ce1ff8715bc7c0a2009a"),
+    # 24 certificates, each incidence root running through the Levi node 2
+    "fano-json-d4-levi-normalized": (["fano", "--type", "D4", "--prime", "3", "--levi", "2",
+                                      "--max-height", "3", "--format", "json",
+                                      "--normalized"], 0,
+                                     "307740bf399caf946dd121f7509216ab1b6c6c3b352ce37735bef3aa8c86ad4f"),
+    "fano-csv-f4-levi-normalized": (["fano", "--type", "F4", "--prime", "3", "--levi", "2",
+                                     "--max-height", "3", "--format", "csv",
+                                     "--normalized"], 0,
+                                    "f0550bc52b78c4c8aabfd03648fe625cd59deec381bc47a3c59ba707b778b0d5"),
 }
 
 

@@ -8,14 +8,17 @@ from hypothesis import given, settings, strategies as st
 from parabolics import (
     INFINITE,
     BlockKind,
+    CensusQuery,
     KernelKind,
     ParabolicScheme,
     Root,
     RootSystemType,
+    anchored_candidates,
     block_phi,
     contains,
     edge_hypothesis,
     enne_check,
+    enumerate_parabolics,
     exotic_h_block,
     exotic_l_block,
     find_incidence_root,
@@ -43,7 +46,7 @@ from parabolics.errors import (
     KernelNotContained,
     MismatchedSchemes,
 )
-from parabolics.phi import _block_kinds, height_ge, height_min
+from parabolics.phi import _block_kinds, _containment_bitsets, height_ge, height_min
 
 A2 = root_system("A2")
 B2 = root_system("B2")
@@ -246,6 +249,39 @@ def test_contains_respects_levi():
     assert not contains(borel, pa1)
     G = full_group_scheme(B2, 2)
     assert contains(G, pa1) and contains(G, borel)
+
+
+def _schemes_over_every_levi(label, p, max_height):
+    """The census schemes of every Levi subset together, so Levis mix."""
+    rs = root_system(label)
+    nodes = range(1, rs.rank + 1)
+    return [
+        P
+        for r in range(rs.rank + 1)
+        for levi in itertools.combinations(nodes, r)
+        for P in enumerate_parabolics(CensusQuery(rs.rtype, p, frozenset(levi), max_height))
+    ]
+
+
+MIXED_LEVI_GRID = [(label, p) for label in ("B2", "G2", "C3") for p in (2, 3)]
+
+
+@pytest.mark.parametrize("label,p", MIXED_LEVI_GRID)
+def test_contains_matches_explicit_levi_test(label, p):
+    # a Levi simple root has height INFINITE, so the heights decide Levi containment
+    schemes = _schemes_over_every_levi(label, p, 2)
+    for P, Q in itertools.product(schemes, repeat=2):
+        explicit = P.levi >= Q.levi and all(map(height_ge, P.heights, Q.heights))
+        assert contains(P, Q) == explicit
+
+
+@pytest.mark.parametrize("label,p", MIXED_LEVI_GRID)
+def test_containment_bitsets_match_pairwise_contains(label, p):
+    schemes = _schemes_over_every_levi(label, p, 2)
+    up, down = _containment_bitsets(schemes)
+    for i, Q in enumerate(schemes):
+        assert up[i] == sum(1 << j for j, P in enumerate(schemes) if j != i and contains(P, Q))
+        assert down[i] == sum(1 << j for j, P in enumerate(schemes) if j != i and contains(Q, P))
 
 
 def test_intersect_is_the_meet():
@@ -535,13 +571,49 @@ def test_admitted_block_kinds_golden_table():
 
 
 def test_anchored_candidates_reject_alpha_outside_the_rank():
-    from parabolics import anchored_candidates
-
     for alpha in (0, B2.rank + 1):
         with pytest.raises(InvalidScheme):
             anchored_candidates(B2, 2, alpha, 1)
     assert [str(b) for b in anchored_candidates(B2, 2, 2, 1)] == \
         ["VerySpecial(0)@a2", "Standard(1)@a2"]
+
+
+#: block and root inputs that int() or an untyped cache would coerce; each
+#: must raise InvalidScheme
+UNCOERCED = {
+    "float block height": lambda: block_phi(B2, 2, standard_block(1, 0.5)),
+    "bool block height": lambda: standard_block(1, True),
+    "float block anchor": lambda: standard_block(1.0, 0),
+    "bool block anchor": lambda: very_special_block(True, 0),
+    "bool node in the kind table": lambda: _block_kinds(B2, 2, True),
+    "bool anchored-candidates node": lambda: anchored_candidates(B2, 2, True, 1),
+    "bool generated-block node": lambda: generated_block(reduced_scheme(B2, 2), True),
+    "float root coefficient": lambda: Root.of(1.9, 0),
+    "bool root coefficient": lambda: Root.of(True, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCOERCED))
+def test_block_and_root_inputs_are_never_coerced(case):
+    # the int keys the coerced inputs would equal are cached first
+    block_phi(B2, 2, standard_block(1, 0))
+    anchored_candidates(B2, 2, 1, 1)
+    with pytest.raises(InvalidScheme):
+        UNCOERCED[case]()
+
+
+def test_negative_block_height_is_built_but_rejected_by_the_block_check():
+    assert standard_block(1, -1).m == -1
+    with pytest.raises(InvalidScheme):
+        block_phi(B2, 2, standard_block(1, -1))
+
+
+def test_block_top_is_the_largest_height():
+    for label, p in [("B2", 2), ("G2", 2), ("G2", 3), ("F4", 2)]:
+        rs = root_system(label)
+        for a in range(1, rs.rank + 1):
+            for b in rank_one_catalog(rs, p, a, 3):
+                assert b.top == block_phi(rs, p, b).max_height
 
 
 def test_blocks_compare_and_hash_by_value():

@@ -312,8 +312,95 @@ def test_find_incidence_root_bad_partition():
         find_incidence_root(rs, {1}, {1})
 
 
+#: the types whose every partition pins find_incidence_root to the reference
+INCIDENCE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5",
+                   "F4", "G2", "E6", "E7"]
+
+
+def _neighbours(rs):
+    """Dynkin neighbours from the Cartan entries, 1-based."""
+    nodes = range(1, rs.rank + 1)
+    return {i: [j for j in nodes if j != i and rs.cartan[i - 1][j - 1]] for i in nodes}
+
+
+def _segments(rs):
+    """Reference: the Dynkin segment from a to b for every pair of nodes, by
+    breadth-first search over the Cartan entries."""
+    adj, out = _neighbours(rs), {}
+    for a in adj:
+        prev, queue = {a: 0}, [a]
+        while queue:
+            x = queue.pop(0)
+            for y in adj[x]:
+                if y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        for b in adj:
+            seq = [b]
+            while seq[-1] != a:
+                seq.append(prev[seq[-1]])
+            out[a, b] = seq[::-1]
+    return out
+
+
+def _incidence_partitions(rs):
+    nodes = range(1, rs.rank + 1)
+    for r in range(rs.rank + 1):
+        for I in itertools.combinations(nodes, r):
+            outside = [k for k in nodes if k not in I]
+            for k in range(1, len(outside)):
+                for left in itertools.combinations(outside, k):
+                    yield I, left, [b for b in outside if b not in left]
+
+
+def test_find_incidence_root_matches_breadth_first_reference():
+    """The pick is the least (distance, l, mu) over pairs across the
+    partition, delta being the segment from l to mu without l."""
+    count = 0
+    for label in INCIDENCE_TYPES:
+        rs = root_system(label)
+        seg = _segments(rs)
+        for I, left, right in _incidence_partitions(rs):
+            _, l, mu = min((len(seg[a, b]), a, b) for a in left for b in right)
+            coeffs = [0] * rs.rank
+            for k in seg[l, mu][1:]:
+                coeffs[k - 1] = 1
+            assert find_incidence_root(rs, I, left) == (l, Root(tuple(coeffs)))
+            count += 1
+    assert count == 3006
+
+
 # ---------------------------------------------------------------------------
 # Levi components
+
+
+def _dfs_components(rs, subset):
+    """Reference: connected components by depth-first search over the Cartan
+    entries, each sorted, in order of their least node."""
+    adj, remaining, comps = _neighbours(rs), set(subset), []
+    while remaining:
+        stack = [min(remaining)]
+        comp = set(stack)
+        while stack:
+            for y in adj[stack.pop()]:
+                if y in remaining and y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        remaining -= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def test_levi_components_match_depth_first_reference():
+    count = 0
+    for label in INCIDENCE_TYPES + ["C2"]:
+        rs = root_system(label)
+        for r in range(rs.rank + 1):
+            for subset in itertools.combinations(range(1, rs.rank + 1), r):
+                comps = levi_components(rs, subset)
+                assert [sorted(c.index_map) for c in comps] == _dfs_components(rs, subset)
+                count += 1
+    assert count == 346
 
 
 def test_levi_components_classification():
