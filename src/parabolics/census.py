@@ -27,7 +27,7 @@ from .phi import (
     is_valid,
     reduced_scheme,
 )
-from .rootsys import RootSystem, RootSystemType, build_root_system, check_levi
+from .rootsys import RootSystem, RootSystemType, _check_int, build_root_system, check_levi
 
 BRUTE_FORCE_GUARD = 10 ** 8
 
@@ -42,7 +42,7 @@ class CensusQuery:
 
     def __post_init__(self) -> None:
         _check_prime(self.p)
-        if self.max_height < 0:
+        if _check_int(self.max_height) < 0:
             raise InvalidScheme("max_height must be >= 0")
 
     @property
@@ -55,7 +55,7 @@ def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> Lis
     kind by kind in catalog order, then by m: Standard(0..M), and every other
     kind admitted at alpha at 0..M-1."""
     check_levi(rs, [alpha])
-    if max_height < 0:
+    if _check_int(max_height) < 0:
         raise InvalidScheme("max_height must be >= 0")
     blocks = (
         RankOneBlock(alpha, kind, m)

@@ -4,6 +4,11 @@ The anticanonical character is chi = sum of p^phi(gamma) * gamma over the
 positive roots off the Levi; the space is Fano exactly when chi pairs
 strictly positively with every simple root off the Levi.  Heights enter
 through p^phi, so all character arithmetic uses exact (unbounded) integers.
+
+By bilinearity each pairing (chi, alpha_a) is a dot product: the weights
+p^phi(gamma), 0 on the Levi roots, against the column of (gamma, alpha_a)
+over the positive roots.  The columns are cached per root system and the
+powers per prime, so the Fano test and the certificate never build chi.
 """
 
 from __future__ import annotations
@@ -11,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import ExoticBlocksPresent, InvalidScheme, NoSmoothContraction
 from .phi import (
+    INFINITE,
     BlockKind,
     KernelKind,
     KernelRecord,
@@ -62,13 +69,37 @@ def picard_rank(P: ParabolicScheme) -> int:
     return P.rs.rank - len(P.levi)
 
 
+@lru_cache(maxsize=None)
+def _columns(rs: RootSystem) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """Per simple root alpha_a, over the positive roots gamma in index order:
+    the pairings (gamma, alpha_a), and the coefficients of alpha_a."""
+    pairings = (tuple(rs.pairing(g, alpha) for g in rs.positive_roots) for alpha in rs.simple_roots)
+    return tuple(pairings), tuple(zip(*(g.coeffs for g in rs.positive_roots)))
+
+
+class _Powers(dict):
+    """p**v by height v, filled on first use; INFINITE (a Levi root) weighs 0."""
+
+    def __init__(self, p: int):
+        super().__init__({INFINITE: 0})
+        self.p = p
+
+    def __missing__(self, v: int) -> int:
+        self[v] = w = self.p ** v
+        return w
+
+
+_powers = lru_cache(maxsize=None)(_Powers)  # one table per prime
+
+
+def _weights(P: ParabolicScheme) -> Tuple[int, ...]:
+    """p**phi(gamma) per positive root, 0 on the Levi roots."""
+    return tuple(map(_powers(P.p).__getitem__, P.heights))
+
+
 def anticanonical_character(P: ParabolicScheme) -> Character:
-    coeffs = [0] * P.rs.rank
-    for g, v in P.phi_items():
-        w = P.p ** v
-        for i, c in enumerate(g.coeffs):
-            coeffs[i] += w * c
-    return Character(tuple(coeffs))
+    w = _weights(P)
+    return Character(tuple(sum(map(mul, w, col)) for col in _columns(P.rs)[1]))
 
 
 def is_ample(rs: RootSystem, levi: FrozenSet[int], lam: Character) -> bool:
@@ -81,7 +112,9 @@ def is_ample(rs: RootSystem, levi: FrozenSet[int], lam: Character) -> bool:
 
 
 def is_fano(P: ParabolicScheme) -> bool:
-    return is_ample(P.rs, P.levi, anticanonical_character(P))
+    """is_ample(rs, levi, anticanonical_character(P)), one dot product per node."""
+    w, cols = _weights(P), _columns(P.rs)[0]
+    return all(sum(map(mul, w, cols[a])) > 0 for a in range(P.rs.rank) if a + 1 not in P.levi)
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +324,9 @@ def incidence_threshold(rs: RootSystem) -> Fraction:
     returned, and the certificate machinery is gated separately to Picard
     rank at least two.
     """
-    num = 0
-    for a in range(1, rs.rank + 1):
-        alpha = rs.simple_roots[a - 1]
-        s = sum(
-            abs(rs.pairing(g, alpha))
-            for g in rs.positive_roots
-            if a in g.support()
-        )
-        num = max(num, s)
-    negs = [
-        abs(rs.pairing(g, rs.simple_roots[a - 1]))
-        for g in rs.positive_roots
-        for a in range(1, rs.rank + 1)
-        if rs.pairing(g, rs.simple_roots[a - 1]) < 0
-    ]
+    pairings, coeffs = _columns(rs)
+    num = max(sum(abs(v) for v, c in zip(*cols) if c) for cols in zip(pairings, coeffs))
+    negs = [-v for col in pairings for v in col if v < 0]
     if not negs:
         return Fraction(len(rs.positive_roots) + 1)
     return Fraction(num, min(negs))
@@ -333,7 +354,9 @@ def not_fano_certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
 
     The generated blocks are cut in chain order; the gap of a cut is the
     least m after it minus the greatest top before it, and the first cut with
-    p**gap > H gives the left side of the incidence root."""
+    p**gap > H gives the left side of the incidence root.  Along the chain
+    neither m nor top decreases, so these are the m just after the cut and
+    the top just before it."""
     _require_normalized(P)
     if picard_rank(P) < 2:
         raise InvalidScheme("certificate machinery needs Picard rank >= 2")
@@ -342,12 +365,11 @@ def not_fano_certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
     ordered = sorted(blocks.values(), key=lambda b: (_chain_key(b), b.alpha))
     H = incidence_threshold(P.rs)
     for i in range(1, len(ordered)):
-        gap = min(b.m for b in ordered[i:]) - max(b.top for b in ordered[:i])
+        gap = ordered[i].m - ordered[i - 1].top
         if gap >= 1 and P.p ** gap > H:
             left = frozenset(b.alpha for b in ordered[:i])
             l, delta = find_incidence_root(P.rs, P.levi, left)
-            chi = anticanonical_character(P)
-            value = character_pairing(P.rs, chi, P.rs.simple_roots[l - 1])
+            value = sum(map(mul, _weights(P), _columns(P.rs)[0][l - 1]))
             return NotFanoCertificate(
                 beta_l=l, delta=delta, threshold=H, pairing_value=value
             )

@@ -40,7 +40,7 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from operator import and_, or_
+from operator import and_, ge, or_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -247,7 +247,9 @@ class ParabolicScheme:
         }
 
     def canonical_json(self) -> str:
-        return _canonical(self.to_json_dict())
+        """_canonical(self.to_json_dict()), filled into a cached template."""
+        template, order = _json_template(self.rs, self.levi)
+        return template % (*map(self.heights.__getitem__, order), self.p)
 
     def to_text(self) -> str:
         """A header line, then a `  phi(<root>) = <height>` line per root off the Levi."""
@@ -286,6 +288,17 @@ _canonical = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 def _json_keys(rs: RootSystem) -> Tuple[str, ...]:
     """JSON key of each positive root ("[1,0,2]"), indexed like the heights."""
     return tuple(_canonical(list(g.coeffs)) for g in rs.positive_roots)
+
+
+@lru_cache(maxsize=None)
+def _json_template(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[str, Tuple[int, ...]]:
+    """Canonical JSON of the schemes on (rs, levi) with a %d per height, in
+    sort_keys order, and for the prime; and the positions of those heights."""
+    keys = _json_keys(rs)
+    blank = tuple(INFINITE if g.support() <= levi else "%d" for g in rs.positive_roots)
+    order = sorted((i for i, v in enumerate(blank) if v is not INFINITE), key=keys.__getitem__)
+    template = _canonical(ParabolicScheme._of(rs, "%d", levi, blank).to_json_dict())
+    return template.replace('"%d"', "%d"), tuple(order)
 
 
 @lru_cache(maxsize=None)
@@ -541,6 +554,19 @@ def anchored_candidates(
     return tuple(sorted((b for b in blocks if b.m >= 0), key=_chain_key))
 
 
+@lru_cache(maxsize=None)
+def _node_window(rs: RootSystem, alpha: int) -> Tuple[int, ...]:
+    """Positions of the alpha-supported positive roots, where a block at alpha
+    is finite; in root order, so alpha itself comes first."""
+    return tuple(i for i, g in enumerate(rs.positive_roots) if g.coeffs[alpha - 1])
+
+
+@lru_cache(maxsize=None)
+def _block_window(rs: RootSystem, block: RankOneBlock) -> Tuple[int, ...]:
+    """The block's heights on the window of its anchor."""
+    return tuple(v for v in _block_vector(rs, block)[1] if v is not INFINITE)
+
+
 def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     """The block of the smallest subgroup containing P and the maximal reduced
     parabolic at alpha.
@@ -550,13 +576,16 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     containing P is returned.  For an invalid height function no anchored
     block may contain P; the largest anchored candidate is then returned,
     and re-intersection will expose the mismatch.
+
+    A block is INFINITE off its window, and P is finite on it (alpha is off
+    the Levi), so containment is an int comparison over the window.
     """
-    if alpha in P.levi or not 1 <= alpha <= P.rs.rank:
+    if _check_int(alpha) in P.levi or not 1 <= alpha <= P.rs.rank:
         raise InvalidScheme(f"a{alpha} is not outside the Levi {sorted(P.levi)}")
-    anchor = P.finite_height(P.rs.simple_roots[alpha - 1])
-    cands = anchored_candidates(P.rs, P.p, alpha, anchor)
+    window = _node_window(P.rs, alpha)
+    cands = anchored_candidates(P.rs, P.p, alpha, P.heights[window[0]])
     for b in cands:
-        if all(map(height_ge, _block_vector(P.rs, b)[1], P.heights)):
+        if all(map(ge, _block_window(P.rs, b), map(P.heights.__getitem__, window))):
             return b
     return cands[-1]
 
@@ -649,7 +678,7 @@ class KernelRecord:
 
 def frobenius_pullback(P: ParabolicScheme, m: int) -> ParabolicScheme:
     """Pull back along the m-th iterated Frobenius: add m to every height."""
-    if m < 0:
+    if _check_int(m) < 0:
         raise InvalidScheme("Frobenius pull-back needs m >= 0")
     return _shift(P, m)
 

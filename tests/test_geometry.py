@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from parabolics import (
+    CensusQuery,
     Character,
     Root,
     RootSystemType,
@@ -12,6 +14,7 @@ from parabolics import (
     dimension,
     exotic_h_block,
     exotic_l_block,
+    fano_census,
     fibration_sequence,
     frobenius_pullback,
     full_group_scheme,
@@ -23,6 +26,7 @@ from parabolics import (
     not_fano_certificate,
     p_sm,
     picard_rank,
+    rank_one_catalog,
     reduced_scheme,
     root_system,
     smooth_contraction_roots,
@@ -30,6 +34,7 @@ from parabolics import (
     very_special_block,
 )
 from parabolics.errors import ExoticBlocksPresent, InvalidScheme, NoSmoothContraction
+from parabolics.phi import _chain_key
 
 A2 = root_system("A2")
 B2 = root_system("B2")
@@ -301,3 +306,37 @@ def test_certificate_preconditions():
     with pytest.raises(ExoticBlocksPresent):
         not_fano_certificate(two_blocks(G2, 2, exotic_h_block(0),
                                         standard_block(2, 1)))
+
+
+def test_chain_order_never_lowers_m_or_top():
+    # not_fano_certificate reads each cut's gap off the two blocks beside it
+    for label, p in [("B3", 2), ("C3", 2), ("F4", 2), ("G2", 2), ("G2", 3), ("A3", 3)]:
+        rs = root_system(label)
+        blocks = [b for a in range(1, rs.rank + 1) for b in rank_one_catalog(rs, p, a, 5)]
+        ordered = sorted(blocks, key=lambda b: (_chain_key(b), b.alpha))
+        for lo, hi in zip(ordered, ordered[1:]):
+            assert lo.m <= hi.m and lo.top <= hi.top
+
+
+def test_fano_rows_match_the_character_and_raw_pairings():
+    # the criterion-10 grid: every row's Fano flag is is_ample of the built
+    # character, and every (chi, alpha) is a raw weighted sum over phi_items;
+    # criterion 10 checks the certificate's pairing value the same way
+    rows = 0
+    for label in ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "F4", "G2"]:
+        rs = root_system(label)
+        pair = {(g, a): rs.pairing(g, rs.simple_roots[a - 1])
+                for g in rs.positive_roots for a in range(1, rs.rank + 1)}
+        for p in (2, 3):
+            for k in range(rs.rank + 1):
+                for I in itertools.combinations(range(1, rs.rank + 1), k):
+                    q = CensusQuery(rs.rtype, p, frozenset(I), 6, normalized_only=True)
+                    for row in fano_census(q):
+                        P = row.scheme
+                        chi = anticanonical_character(P)
+                        assert row.fano == is_ample(rs, P.levi, chi)
+                        for a in range(1, rs.rank + 1):
+                            raw = sum(p ** v * pair[g, a] for g, v in P.phi_items())
+                            assert character_pairing(rs, chi, rs.simple_roots[a - 1]) == raw
+                        rows += 1
+    assert rows > 6000

@@ -46,7 +46,13 @@ from parabolics.errors import (
     KernelNotContained,
     MismatchedSchemes,
 )
-from parabolics.phi import _block_kinds, _containment_bitsets, height_ge, height_min
+from parabolics.phi import (
+    _block_kinds,
+    _canonical,
+    _containment_bitsets,
+    height_ge,
+    height_min,
+)
 
 A2 = root_system("A2")
 B2 = root_system("B2")
@@ -422,6 +428,51 @@ def test_enne_matches_double_loop_on_random_schemes():
     assert violations > 0
 
 
+def _random_scheme(rng, rs, p, levi_size, top):
+    levi = rng.sample(range(1, rs.rank + 1), levi_size)
+    domain = reduced_scheme(rs, p, levi).domain
+    return ParabolicScheme(rs, p, levi, {g: rng.randint(0, top) for g in domain})
+
+
+def test_canonical_json_matches_the_dumped_dict():
+    rng = random.Random(5)
+    for label in ("A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "G2", "F4"):
+        rs = root_system(label)
+        for k in range(rs.rank + 1):
+            for p in (2, 3):
+                P = _random_scheme(rng, rs, p, k, 12)
+                assert P.canonical_json() == _canonical(P.to_json_dict())
+
+
+def _old_generated_block(P, alpha):
+    # the first anchored candidate whose full block vector dominates P, else the last
+    cands = anchored_candidates(P.rs, P.p, alpha, P.finite_height(P.rs.simple_roots[alpha - 1]))
+    for b in cands:
+        if contains(block_phi(P.rs, P.p, b), P):
+            return b
+    return cands[-1]
+
+
+def test_generated_block_matches_the_full_vector_rule():
+    rng = random.Random(7)
+    fallbacks = found = 0
+    for label in ("B4", "F4", "E6", "G2"):
+        rs = root_system(label)
+        for p in (2, 3):
+            for _ in range(12):
+                P = _random_scheme(rng, rs, p, rng.randrange(rs.rank), 3)
+                for a in range(1, rs.rank + 1):
+                    if a in P.levi:
+                        continue
+                    b = generated_block(P, a)
+                    assert b == _old_generated_block(P, a)
+                    if contains(block_phi(rs, p, b), P):
+                        found += 1
+                    else:
+                        fallbacks += 1
+    assert found and fallbacks
+
+
 def test_enne_empty_on_block_intersections():
     for combo in itertools.product(rank_one_catalog(G2, 2, 1, 2),
                                    rank_one_catalog(G2, 2, 2, 2)):
@@ -578,8 +629,8 @@ def test_anchored_candidates_reject_alpha_outside_the_rank():
         ["VerySpecial(0)@a2", "Standard(1)@a2"]
 
 
-#: block and root inputs that int() or an untyped cache would coerce; each
-#: must raise InvalidScheme
+#: block, root, node, twist and height-bound inputs that int() or an untyped
+#: cache would coerce; each must raise InvalidScheme
 UNCOERCED = {
     "float block height": lambda: block_phi(B2, 2, standard_block(1, 0.5)),
     "bool block height": lambda: standard_block(1, True),
@@ -588,6 +639,13 @@ UNCOERCED = {
     "bool node in the kind table": lambda: _block_kinds(B2, 2, True),
     "bool anchored-candidates node": lambda: anchored_candidates(B2, 2, True, 1),
     "bool generated-block node": lambda: generated_block(reduced_scheme(B2, 2), True),
+    "float generated-block node": lambda: generated_block(reduced_scheme(B2, 2), 1.0),
+    "float Frobenius twist": lambda: frobenius_pullback(reduced_scheme(B2, 2), 0.5),
+    "bool Frobenius twist": lambda: frobenius_pullback(reduced_scheme(B2, 2), True),
+    "float census bound": lambda: CensusQuery(B2.rtype, 2, frozenset(), 1.5),
+    "bool census bound": lambda: CensusQuery(B2.rtype, 2, frozenset(), True),
+    "float catalog bound": lambda: rank_one_catalog(B2, 2, 1, 1.5),
+    "bool catalog bound": lambda: rank_one_catalog(B2, 2, 1, True),
     "float root coefficient": lambda: Root.of(1.9, 0),
     "bool root coefficient": lambda: Root.of(True, 0),
 }
@@ -598,6 +656,7 @@ def test_block_and_root_inputs_are_never_coerced(case):
     # the int keys the coerced inputs would equal are cached first
     block_phi(B2, 2, standard_block(1, 0))
     anchored_candidates(B2, 2, 1, 1)
+    generated_block(reduced_scheme(B2, 2), 1)
     with pytest.raises(InvalidScheme):
         UNCOERCED[case]()
 
