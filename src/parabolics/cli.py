@@ -79,10 +79,16 @@ def _load_scheme(args) -> ParabolicScheme:
         raise InvalidScheme("scheme JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise InvalidScheme("scheme JSON must be an object")
+    prime = getattr(args, "prime", None)
     data.setdefault("type", args.type)
-    if getattr(args, "prime", None) is not None:
-        data.setdefault("prime", args.prime)
-    return ParabolicScheme.from_json_dict(data)
+    if prime is not None:
+        data.setdefault("prime", prime)
+    P = ParabolicScheme.from_json_dict(data)
+    if P.rs.rtype != RootSystemType.parse(args.type):
+        raise InvalidScheme(f"--type {args.type}, but the input scheme is {P.rs.rtype}")
+    if prime not in (None, P.p):
+        raise InvalidScheme(f"--prime {prime}, but the input scheme has prime {P.p}")
+    return P
 
 
 def _cmd_info(args, out) -> int:

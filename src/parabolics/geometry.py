@@ -360,6 +360,12 @@ def not_fano_certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
     _require_normalized(P)
     if picard_rank(P) < 2:
         raise InvalidScheme("certificate machinery needs Picard rank >= 2")
+    return _certificate(P)
+
+
+def _certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
+    """The body of not_fano_certificate, for a scheme its caller has checked
+    to be normalized and of Picard rank at least two."""
     blocks = _generated_blocks(P)
     _require_quasi_standard(blocks)
     ordered = sorted(blocks.values(), key=lambda b: (_chain_key(b), b.alpha))

@@ -567,6 +567,37 @@ def _block_window(rs: RootSystem, block: RankOneBlock) -> Tuple[int, ...]:
     return tuple(v for v in _block_vector(rs, block)[1] if v is not INFINITE)
 
 
+@lru_cache(maxsize=None)
+def _chain(rs: RootSystem, p: int, alpha: int, anchor: int) -> Tuple[Tuple, ...]:
+    """(window heights, block vector, block) of each anchored candidate, in
+    chain order; the tuples are the ones _block_window and _block_vector cache."""
+    return tuple(
+        (_block_window(rs, b), _block_vector(rs, b)[1], b)
+        for b in anchored_candidates(rs, p, alpha, anchor)
+    )
+
+
+@lru_cache(maxsize=None)
+def _node_windows(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """(node, window) for each simple root off the Levi, in node order."""
+    return tuple((a, _node_window(rs, a)) for a in range(1, rs.rank + 1) if a not in levi)
+
+
+def _generated(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Tuple:
+    """The _chain entry of the generated block at alpha: the first candidate
+    containing P, else the last.
+
+    A block is INFINITE off its window, and P is finite on it (alpha is off
+    the Levi), so containment is an int comparison over the window; the
+    window starts at alpha, whose height is the anchor."""
+    h = P.heights
+    chain = _chain(P.rs, P.p, alpha, h[window[0]])
+    for entry in chain:
+        if all(map(ge, entry[0], map(h.__getitem__, window))):
+            return entry
+    return chain[-1]
+
+
 def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     """The block of the smallest subgroup containing P and the maximal reduced
     parabolic at alpha.
@@ -576,29 +607,21 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     containing P is returned.  For an invalid height function no anchored
     block may contain P; the largest anchored candidate is then returned,
     and re-intersection will expose the mismatch.
-
-    A block is INFINITE off its window, and P is finite on it (alpha is off
-    the Levi), so containment is an int comparison over the window.
     """
     if _check_int(alpha) in P.levi or not 1 <= alpha <= P.rs.rank:
         raise InvalidScheme(f"a{alpha} is not outside the Levi {sorted(P.levi)}")
-    window = _node_window(P.rs, alpha)
-    cands = anchored_candidates(P.rs, P.p, alpha, P.heights[window[0]])
-    for b in cands:
-        if all(map(ge, _block_window(P.rs, b), map(P.heights.__getitem__, window))):
-            return b
-    return cands[-1]
+    return _generated(P, alpha, _node_window(P.rs, alpha))[2]
 
 
 def _generated_blocks(P: ParabolicScheme) -> Dict[int, RankOneBlock]:
     """The generated block at each simple root off the Levi, by node."""
-    return {a: generated_block(P, a) for a in range(1, P.rs.rank + 1) if a not in P.levi}
+    return {a: _generated(P, a, w)[2] for a, w in _node_windows(P.rs, P.levi)}
 
 
 def reconstruct(P: ParabolicScheme) -> ParabolicScheme:
     """Intersection of the generated blocks over the simple roots off the
     Levi; equals P exactly when P is a genuine parabolic scheme."""
-    vectors = [_block_vector(P.rs, b)[1] for b in _generated_blocks(P).values()]
+    vectors = [_generated(P, a, w)[1] for a, w in _node_windows(P.rs, P.levi)]
     if not vectors:
         return P
     heights = reduce(lambda h, v: tuple(map(height_min, h, v)), vectors)

@@ -53,6 +53,10 @@ _RANK_OK = {
     "G": lambda n: n == 2,
 }
 
+#: the largest rank a type may have; a rank-n type has about n**2 positive
+#: roots, and the `constants` table about n**4 root pairs
+RANK_LIMIT = 16
+
 SHORT = "short"
 LONG = "long"
 
@@ -70,6 +74,8 @@ class RootSystemType:
         rank = self.rank
         if not isinstance(rank, int) or isinstance(rank, bool) or not _RANK_OK[self.series](rank):
             raise InvalidRootSystem(f"rank {self.rank} invalid for series {self.series}")
+        if rank > RANK_LIMIT:
+            raise InvalidRootSystem(f"rank {rank} exceeds the limit {RANK_LIMIT}")
 
     @classmethod
     def parse(cls, label: str) -> "RootSystemType":

@@ -5,6 +5,7 @@ import pytest
 from parabolics import (
     BlockKind,
     CensusQuery,
+    ParabolicScheme,
     Root,
     RootSystemType,
     block_phi,
@@ -21,8 +22,10 @@ from parabolics import (
     hasse_diagram,
     hasse_to_dot,
     intersect,
+    is_normalized,
     is_valid,
     rank_one_catalog,
+    reduced_scheme,
     root_system,
     schemes_to_csv,
     schemes_to_jsonl,
@@ -128,6 +131,50 @@ def test_oracle_equality_with_levi():
     for I in [(1,), (2,)]:
         assert brute_force_enumerate(q("G2", 2, I, 3)) == \
             enumerate_parabolics(q("G2", 2, I, 3))
+
+
+def _brute_force_by_public_constructor(query):
+    """The oracle as a plain loop: every height vector through the public
+    constructor and is_valid, sorted by the heights off the Levi."""
+    rs, levi = query.system, query.levi
+    domain = reduced_scheme(rs, query.p, levi).domain
+    out = []
+    for values in itertools.product(range(query.max_height + 1), repeat=len(domain)):
+        P = ParabolicScheme(rs, query.p, levi, dict(zip(domain, values)))
+        if is_valid(P) and (not query.normalized_only or is_normalized(P)):
+            out.append(P)
+    return tuple(sorted(out, key=lambda P: [v for _, v in P.phi_items()]))
+
+
+@pytest.mark.parametrize("label,p,levi,M", [
+    ("A2", 2, (), 2), ("B2", 2, (), 2), ("C2", 3, (), 2), ("G2", 2, (), 2),
+    ("G2", 3, (1,), 3), ("A3", 3, (2,), 2), ("B3", 2, (1, 3), 2), ("B2", 2, (1, 2), 3),
+])
+def test_brute_force_matches_the_public_constructor_loop(label, p, levi, M):
+    for normalized in (False, True):
+        query = q(label, p, levi, M, normalized)
+        got, expected = brute_force_enumerate(query), _brute_force_by_public_constructor(query)
+        assert got == expected
+        assert [P.canonical_json() for P in got] == [P.canonical_json() for P in expected]
+
+
+def test_brute_force_never_reaches_the_census_kernel(monkeypatch):
+    import parabolics.census
+    import parabolics.phi
+
+    query = q("G2", 2, (), 2)
+    expected = enumerate_parabolics(query)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the census kernel")
+
+    for module, name in [(parabolics.phi, "_census_meets"), (parabolics.phi, "_packed_block"),
+                         (parabolics.phi, "_lane_masks"), (parabolics.census, "_census_meets"),
+                         (parabolics.census, "rank_one_catalog")]:
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        enumerate_parabolics(query)
+    assert brute_force_enumerate(query) == expected
 
 
 def test_oracle_guard():

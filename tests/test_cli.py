@@ -207,11 +207,13 @@ VALIDATE = ["validate", "--type", "B2", "--prime", "2", "--input"]
 
 @pytest.mark.parametrize("argv,data,error", [
     (["info", "--type", "B²"], b"", "InvalidRootSystem"),  # a digit int() refuses
+    (["info", "--type", "A60"], b"", "InvalidRootSystem"),  # above the rank limit
     (VALIDATE + ["FILE"], b'{"levi": [\xff]}', "InvalidScheme"),
     (VALIDATE + ["-"], b'{"levi": [\xff]}', "InvalidScheme"),
     (VALIDATE + ["FILE"], b"[" * 200000 + b"]" * 200000, "InvalidScheme"),
     (VALIDATE + ["-"], b'{"a":' * 200000 + b"1" + b"}" * 200000, "InvalidScheme"),
-], ids=["superscript-rank", "non-utf8-file", "non-utf8-stdin", "deep-file", "deep-stdin"])
+], ids=["superscript-rank", "rank-over-limit", "non-utf8-file", "non-utf8-stdin", "deep-file",
+        "deep-stdin"])
 def test_hostile_input_is_a_named_domain_error(argv, data, error, tmp_path):
     path = tmp_path / "input.json"
     path.write_bytes(data)
@@ -220,6 +222,29 @@ def test_hostile_input_is_a_named_domain_error(argv, data, error, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith(error + ":")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags,error", [
+    (["validate", "--type", "B3", "--prime", "3"], "--type B3"),
+    (["validate", "--type", "B3", "--prime", "2"], "--type B3"),
+    (["reconstruct", "--type", "B2", "--prime", "3"], "--prime 3"),
+    (["fibrations", "--type", "C2", "--prime", "2"], "--type C2"),
+    (["dual", "--type", "C2"], "--type C2"),
+], ids=["validate-type-and-prime", "validate-type", "reconstruct-prime",
+        "fibrations-type", "dual-type"])
+def test_input_that_contradicts_the_flags_is_a_domain_error(flags, error, tmp_path, capsys):
+    f = tmp_path / "b2.json"
+    f.write_text(json.dumps({
+        "type": "B2", "prime": 2, "levi": [],
+        "phi": {"[1,0]": 0, "[0,1]": 0, "[1,1]": 0, "[1,2]": 0},
+    }))
+    code, out = invoke(*flags, "--input", str(f))
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidScheme: " + error)
+    for label in ("B2", "b2"):  # flags that agree with the file read it as before
+        code, out = invoke("validate", "--type", label, "--prime", "2", "--input", str(f))
+        assert code == 0 and json.loads(out)["valid"] is True
 
 
 def test_malformed_levi_is_a_usage_error():

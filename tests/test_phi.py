@@ -26,6 +26,7 @@ from parabolics import (
     full_group_scheme,
     generated_block,
     intersect,
+    intersect_all,
     is_normalized,
     is_valid,
     normalize,
@@ -50,6 +51,7 @@ from parabolics.phi import (
     _block_kinds,
     _canonical,
     _containment_bitsets,
+    _generated_blocks,
     height_ge,
     height_min,
 )
@@ -471,6 +473,42 @@ def test_generated_block_matches_the_full_vector_rule():
                     else:
                         fallbacks += 1
     assert found and fallbacks
+
+
+def _reference_blocks(P):
+    """The generated block at each node off the Levi, by the full-vector rule."""
+    return {a: _old_generated_block(P, a) for a in range(1, P.rs.rank + 1) if a not in P.levi}
+
+
+def _random_block_meet(rng, rs, p, levi_size, top):
+    levi = set(rng.sample(range(1, rs.rank + 1), levi_size))
+    nodes = [a for a in range(1, rs.rank + 1) if a not in levi]
+    blocks = [rng.choice(rank_one_catalog(rs, p, a, top)) for a in nodes]
+    return intersect_all(rs, p, [block_phi(rs, p, b) for b in blocks])
+
+
+def test_reconstruct_matches_the_public_block_reference():
+    rng = random.Random(11)
+    kinds, fallbacks, valid = set(), 0, 0
+    for label in ("A3", "B3", "C3", "F4", "G2", "E6"):
+        rs = root_system(label)
+        for p in (2, 3):
+            for k in range(24):
+                size = rng.randrange(rs.rank + 1)  # the full Levi included
+                if k % 2:
+                    P = _random_block_meet(rng, rs, p, size, 3)
+                    assert is_valid(P)
+                else:
+                    P = _random_scheme(rng, rs, p, size, 3)
+                blocks = _reference_blocks(P)
+                assert _generated_blocks(P) == blocks
+                expected = intersect_all(rs, p, [block_phi(rs, p, b) for b in blocks.values()])
+                assert reconstruct(P) == expected and reconstruct(P).levi == P.levi
+                kinds.update(b.kind for b in blocks.values())
+                fallbacks += sum(not contains(block_phi(rs, p, b), P) for b in blocks.values())
+                valid += reconstruct(P) == P
+    assert kinds == set(BlockKind)  # G2 at p=2 reaches both exotic kinds
+    assert fallbacks and valid
 
 
 def test_enne_empty_on_block_intersections():

@@ -21,6 +21,7 @@ from parabolics.errors import (
     NotARoot,
     UnsupportedType,
 )
+from parabolics.rootsys import RANK_LIMIT
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
              "D3", "D4", "F4", "G2"]
@@ -47,6 +48,15 @@ def test_invalid_types():
     for rank in (2.0, True, "2"):  # a rank is an int, never coerced
         with pytest.raises(InvalidRootSystem):
             RootSystemType("A", rank)
+
+
+def test_rank_limit():
+    for series in "ABCD":
+        assert RootSystemType(series, RANK_LIMIT).rank == RANK_LIMIT
+        with pytest.raises(InvalidRootSystem, match=f"exceeds the limit {RANK_LIMIT}"):
+            RootSystemType(series, RANK_LIMIT + 1)
+    with pytest.raises(InvalidRootSystem, match="limit"):
+        RootSystemType.parse("A60")
 
 
 def test_b2_positive_roots():
