@@ -6,7 +6,7 @@ function up to the bound and keeps the reconstruction fixpoints.  Where the
 guard admits, the two must agree exactly.
 
 The oracle is independent of the fold: it never calls the packed kernel or
-the block catalogs, only `reconstruct` and `is_normalized`.  Its candidates
+the block catalogs, only `is_valid` and `is_normalized`.  Its candidates
 are trusted height vectors, well formed by construction (INFINITE on the
 Levi roots, a value in 0..M elsewhere), so they skip the public
 constructor's checks; the query's prime, bound and Levi are checked once.

@@ -31,7 +31,8 @@ key m + top orders blocks along their kernel chain Standard(0) < X(0) <
 Standard(1) < X(1) < ..., for the anchored candidates and the certificate.
 
 Reconstruction recovers the minimal anchored block at each node and
-re-intersects; a height function is valid exactly when this is the identity.
+re-intersects; a height function is valid exactly when this is the identity,
+which `is_valid` tests, without the meet, as a cover by the generated blocks.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from operator import and_, ge, or_
+from itertools import compress
+from operator import add, and_, eq, ge, or_
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -583,19 +585,22 @@ def _node_windows(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[Tuple[int, Tupl
     return tuple((a, _node_window(rs, a)) for a in range(1, rs.rank + 1) if a not in levi)
 
 
-def _generated(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Tuple:
-    """The _chain entry of the generated block at alpha: the first candidate
-    containing P, else the last.
-
-    A block is INFINITE off its window, and P is finite on it (alpha is off
-    the Levi), so containment is an int comparison over the window; the
-    window starts at alpha, whose height is the anchor."""
+def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Optional[Tuple]:
+    """The _chain entry of the first anchored candidate at alpha containing P,
+    or None.  A block is INFINITE off its window, and P is finite on it
+    (alpha is off the Levi), so containment is an int comparison over the
+    window; the window starts at alpha, whose height is the anchor."""
     h = P.heights
-    chain = _chain(P.rs, P.p, alpha, h[window[0]])
-    for entry in chain:
+    for entry in _chain(P.rs, P.p, alpha, h[window[0]]):
         if all(map(ge, entry[0], map(h.__getitem__, window))):
             return entry
-    return chain[-1]
+    return None
+
+
+def _generated(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Tuple:
+    """The _chain entry of the generated block at alpha: the first candidate
+    containing P, else the last."""
+    return _covering(P, alpha, window) or _chain(P.rs, P.p, alpha, P.heights[window[0]])[-1]
 
 
 def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
@@ -628,10 +633,23 @@ def reconstruct(P: ParabolicScheme) -> ParabolicScheme:
     return ParabolicScheme._of(P.rs, P.p, P.levi, heights)
 
 
+def _is_cover(P: ParabolicScheme) -> bool:
+    """reconstruct(P) == P without the meet: (a) each generated block contains
+    P (a fallback block drops below it), and (b) each root off the Levi is a
+    root where one of them equals P (a block is INFINITE off its window)."""
+    h, hit = P.heights, set()
+    for alpha, window in _node_windows(P.rs, P.levi):
+        entry = _covering(P, alpha, window)
+        if entry is None:
+            return False
+        hit.update(compress(window, map(eq, entry[0], map(h.__getitem__, window))))
+    return len(hit) == len(_off_levi(P.rs, P.levi))
+
+
 def is_valid(P: ParabolicScheme) -> bool:
-    """Validity as the reconstruction fixpoint."""
+    """Validity as the reconstruction fixpoint, tested as a cover (_is_cover)."""
     try:
-        return reconstruct(P) == P
+        return _is_cover(P)
     except ParabolicsError:
         return False
 
@@ -644,16 +662,16 @@ def is_valid(P: ParabolicScheme) -> bool:
 def _enne_triples(rs: RootSystem) -> Tuple[Tuple[int, int, int], ...]:
     """Index triples (gamma, delta, gamma+delta) of the pairs enne_check
     tests, sorted by the coefficients of gamma, then of delta."""
-    pos, index = rs.positive_roots, rs.index
+    pos = rs.positive_roots
+    coeffs = [g.coeffs for g in pos]
+    at = {c: i for i, c in enumerate(coeffs)}
     triples = []
-    for a in range(len(pos)):
+    for a, ca in enumerate(coeffs):
         for b in range(a + 1, len(pos)):
-            gamma, delta = pos[a], pos[b]
-            c = index.get(gamma + delta)
-            if c is None or rs.is_root(gamma - delta):
-                continue
-            triples.append((a, b, c))
-    triples.sort(key=lambda t: (pos[t[0]].coeffs, pos[t[1]].coeffs))
+            c = at.get(tuple(map(add, ca, coeffs[b])))
+            if c is not None and not rs.is_root(pos[a] - pos[b]):
+                triples.append((a, b, c))
+    triples.sort(key=lambda t: (coeffs[t[0]], coeffs[t[1]]))
     return tuple(triples)
 
 

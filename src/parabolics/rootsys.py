@@ -174,11 +174,10 @@ def _simple_epsilon(rtype: RootSystemType) -> List[Tuple[Fraction, ...]]:
 
 
 class RootSystem:
-    """Immutable root-system data built once per type and shared."""
+    """Immutable root-system data, built once per type and shared: equal means identical."""
 
     def __init__(self, rtype: RootSystemType):
         self.rtype = rtype
-        self._hash = hash(rtype)
         self.rank = rtype.rank
         eps = _simple_epsilon(rtype)
         self.epsilon_coords: Tuple[Tuple[Fraction, ...], ...] = tuple(tuple(v) for v in eps)
@@ -253,12 +252,6 @@ class RootSystem:
         return sum(c * self.cartan[j][i] for j, c in enumerate(gamma.coeffs))
 
     # -- queries ---------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, RootSystem) and self.rtype == other.rtype)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"RootSystem({self.rtype})"

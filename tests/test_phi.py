@@ -51,6 +51,7 @@ from parabolics.phi import (
     _block_kinds,
     _canonical,
     _containment_bitsets,
+    _enne_triples,
     _generated_blocks,
     height_ge,
     height_min,
@@ -95,6 +96,19 @@ def test_height_infinite_on_levi_roots():
     assert P.height(Root.of(1, 0)) == 1
     with pytest.raises(InvalidScheme):
         P.height(Root.of(-1, 0))
+
+
+def test_schemes_on_one_type_compare_equal_and_across_types_mismatch():
+    P = scheme(B2, 2, {1}, {(0, 1): 1, (1, 1): 0, (1, 2): 2})
+    Q = ParabolicScheme.from_json_dict(json.loads(P.canonical_json()))
+    assert Q.rs is root_system("b2") and Q == P and hash(Q) == hash(P)
+    B, C = reduced_scheme(B2, 2), reduced_scheme(C2, 2)
+    assert B.heights == C.heights and B != C  # same vector, different systems
+    for op in (intersect, contains):
+        with pytest.raises(MismatchedSchemes):
+            op(B, C)
+    with pytest.raises(MismatchedSchemes):
+        _containment_bitsets([B, C])
 
 
 def test_equality_is_levi_and_phi():
@@ -371,7 +385,7 @@ def test_is_valid_lets_defects_propagate(monkeypatch):
     def broken(P):
         raise ZeroDivisionError("defect")
 
-    monkeypatch.setattr(parabolics.phi, "reconstruct", broken)
+    monkeypatch.setattr(parabolics.phi, "_is_cover", broken)
     with pytest.raises(ZeroDivisionError):
         is_valid(reduced_scheme(A2, 2))
 
@@ -509,6 +523,78 @@ def test_reconstruct_matches_the_public_block_reference():
                 valid += reconstruct(P) == P
     assert kinds == set(BlockKind)  # G2 at p=2 reaches both exotic kinds
     assert fallbacks and valid
+
+
+def test_is_valid_agrees_with_the_reconstruction_fixpoint():
+    """The cover test against the meet, on random vectors (mostly invalid)
+    and on their reconstructions (always valid)."""
+    rng = random.Random(13)
+    outcomes = set()
+    for label in ("A3", "B3", "C3", "F4", "G2", "E6"):
+        rs = root_system(label)
+        for p in (2, 3):
+            for _ in range(20):
+                P = _random_scheme(rng, rs, p, rng.randrange(rs.rank + 1), rng.randint(0, 3))
+                R = reconstruct(P)
+                for S in (P, R):
+                    assert is_valid(S) == (reconstruct(S) == S)
+                    outcomes.add(is_valid(S))
+                assert is_valid(R)
+    assert outcomes == {True, False}
+
+
+def _named_validity_cases():
+    F4 = root_system("F4")
+    one_node = block_phi(F4, 2, very_special_block(3, 1))  # Levi {1, 2, 4}
+    bumped = dict(one_node.phi_items())
+    bumped[F4.positive_roots[-1]] += 1  # the highest root, long
+    cases = {
+        "g2-exotic-h": (block_phi(G2, 2, exotic_h_block(1)), True),
+        "g2-exotic-l": (block_phi(G2, 2, exotic_l_block(0)), True),
+        "g2-exotic-h-meet": (intersect(block_phi(G2, 2, exotic_h_block(2)),
+                                       block_phi(G2, 2, standard_block(2, 1))), True),
+        "g2-exotic-l-meet": (intersect(block_phi(G2, 2, exotic_l_block(1)),
+                                       block_phi(G2, 2, standard_block(2, 3))), True),
+        # no anchored candidate at a1 contains it: reconstruction falls back
+        "a2-fallback": (scheme(A2, 2, set(), {(1, 0): 1, (0, 1): 1, (1, 1): 2}), False),
+        # the fallback at a1 is below it at a1+a2, where the block at a2 equals it
+        "a2-fallback-covered": (scheme(A2, 2, set(), {(1, 0): 1, (0, 1): 2, (1, 1): 2}), False),
+        # both blocks contain it, neither equals it at a1+a2
+        "a2-uncovered": (scheme(A2, 2, set(), {(1, 0): 1, (0, 1): 1, (1, 1): 0}), False),
+        "g2-full": (full_group_scheme(G2, 2), True),
+        "f4-full": (full_group_scheme(F4, 3), True),
+        "f4-one-node-block": (one_node, True),
+        "f4-one-node-bumped": (ParabolicScheme(F4, 2, one_node.levi, bumped), False),
+        "f4-one-node-reduced": (reduced_scheme(F4, 3, {1, 2, 4}), True),
+    }
+    return [pytest.param(P, valid, id=name) for name, (P, valid) in cases.items()]
+
+
+@pytest.mark.parametrize("P, valid", _named_validity_cases())
+def test_is_valid_named_cases(P, valid):
+    assert is_valid(P) is valid
+    assert (reconstruct(P) == P) is valid
+
+
+def _enne_triples_by_roots(rs):
+    """Reference for _enne_triples in plain Root arithmetic."""
+    pos = rs.positive_roots
+    triples = [
+        (a, b, rs.index[gamma + delta])
+        for a, gamma in enumerate(pos)
+        for b, delta in enumerate(pos)
+        if a < b and rs.is_positive_root(gamma + delta) and not rs.is_root(gamma - delta)
+    ]
+    return sorted(triples, key=lambda t: (pos[t[0]].coeffs, pos[t[1]].coeffs))
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "A3", "A5", "B2", "B3", "B5", "C3", "C4", "D4", "D5", "E6", "E7", "E8",
+    "F4", "G2",
+])
+def test_enne_triples_match_root_arithmetic(label):
+    rs = root_system(label)
+    assert _enne_triples(rs) == tuple(_enne_triples_by_roots(rs))
 
 
 def test_enne_empty_on_block_intersections():
