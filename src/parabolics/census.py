@@ -62,7 +62,6 @@ def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> Lis
     """All catalog blocks at alpha whose top height stays within the bound,
     kind by kind in catalog order, then by m: Standard(0..M), and every other
     kind admitted at alpha at 0..M-1."""
-    check_levi(rs, [alpha])
     if _check_int(max_height) < 0:
         raise InvalidScheme("max_height must be >= 0")
     blocks = (

@@ -8,8 +8,6 @@ r+1 and its vanishing modulo p are needed here; signs are never computed.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import DegenerateRootPair
 from .rootsys import Root, RootSystem
 
@@ -21,22 +19,15 @@ def _check_pair(rs: RootSystem, gamma: Root, delta: Root) -> None:
         raise DegenerateRootPair(f"gamma = +/-delta at {gamma}")
 
 
-@lru_cache(maxsize=None)
-def _down_steps(rs: RootSystem, gamma: Root, delta: Root) -> int:
-    r = 0
-    cur = gamma - delta
-    while rs.is_root(cur):
-        r += 1
-        cur = cur - delta
-    return r
-
-
 def structure_constant_magnitude(rs: RootSystem, gamma: Root, delta: Root) -> int:
     """|N'(gamma, delta)| = r + 1, or 0 when gamma + delta is not a root."""
     _check_pair(rs, gamma, delta)
     if not rs.is_root(gamma + delta):
         return 0
-    return _down_steps(rs, gamma, delta) + 1
+    r, cur = 0, gamma - delta
+    while rs.is_root(cur):
+        r, cur = r + 1, cur - delta
+    return r + 1
 
 
 def vanishes_mod_p(rs: RootSystem, gamma: Root, delta: Root, p: int) -> bool:

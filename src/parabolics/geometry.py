@@ -39,7 +39,7 @@ from .rootsys import (
     Root,
     RootSystem,
     RootSystemType,
-    find_incidence_root,
+    _incidence_root,
     levi_components,
     very_special_dual,
 )
@@ -374,7 +374,7 @@ def _certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
         gap = ordered[i].m - ordered[i - 1].top
         if gap >= 1 and P.p ** gap > H:
             left = frozenset(b.alpha for b in ordered[:i])
-            l, delta = find_incidence_root(P.rs, P.levi, left)
+            l, delta = _incidence_root(P.rs, P.levi, left)
             value = sum(map(mul, _weights(P), _columns(P.rs)[0][l - 1]))
             return NotFanoCertificate(
                 beta_l=l, delta=delta, threshold=H, pairing_value=value

@@ -29,6 +29,8 @@ derived from it and from the block height vectors.  A block's `top` is its
 largest height: m for Standard(m), m+1 for every other kind X(m).  The chain
 key m + top orders blocks along their kernel chain Standard(0) < X(0) <
 Standard(1) < X(1) < ..., for the anchored candidates and the certificate.
+`_chain` is the one cache of the anchored candidates, per system, prime,
+node and anchor height; `_node_windows` caches the nodes off each Levi.
 
 Reconstruction recovers the minimal anchored block at each node and
 re-intersects; a height function is valid exactly when this is the identity,
@@ -542,47 +544,38 @@ def _census_meets(
 # Generated blocks and reconstruction
 
 
-@lru_cache(maxsize=None, typed=True)
 def anchored_candidates(
     rs: RootSystem, p: int, alpha: int, anchor: int
 ) -> Tuple[RankOneBlock, ...]:
     """Catalog blocks at alpha whose height on alpha equals `anchor`, in
-    increasing containment order.  They form a chain because Standard(m) is
-    contained in X(m), and X(m) in Standard(m+1), for every other kind X."""
+    increasing containment order (_chain)."""
+    return tuple(entry[2] for entry in _chain(rs, p, alpha, anchor))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _chain(rs: RootSystem, p: int, alpha: int, anchor: int) -> Tuple[Tuple, ...]:
+    """(window heights, block vector, block) of each catalog block at alpha
+    whose height on alpha equals `anchor`, in increasing containment order;
+    the window heights are the block's finite ones.  The blocks form a chain
+    because Standard(m) is contained in X(m), and X(m) in Standard(m+1), for
+    every other kind X."""
     blocks = (
         RankOneBlock(alpha, k, anchor - block_anchor_height(rs, RankOneBlock(alpha, k, 0)))
         for k in _block_kinds(rs, p, alpha)
     )
-    return tuple(sorted((b for b in blocks if b.m >= 0), key=_chain_key))
-
-
-@lru_cache(maxsize=None)
-def _node_window(rs: RootSystem, alpha: int) -> Tuple[int, ...]:
-    """Positions of the alpha-supported positive roots, where a block at alpha
-    is finite; in root order, so alpha itself comes first."""
-    return tuple(i for i, g in enumerate(rs.positive_roots) if g.coeffs[alpha - 1])
-
-
-@lru_cache(maxsize=None)
-def _block_window(rs: RootSystem, block: RankOneBlock) -> Tuple[int, ...]:
-    """The block's heights on the window of its anchor."""
-    return tuple(v for v in _block_vector(rs, block)[1] if v is not INFINITE)
-
-
-@lru_cache(maxsize=None)
-def _chain(rs: RootSystem, p: int, alpha: int, anchor: int) -> Tuple[Tuple, ...]:
-    """(window heights, block vector, block) of each anchored candidate, in
-    chain order; the tuples are the ones _block_window and _block_vector cache."""
-    return tuple(
-        (_block_window(rs, b), _block_vector(rs, b)[1], b)
-        for b in anchored_candidates(rs, p, alpha, anchor)
-    )
+    vectors = ((_block_vector(rs, b)[1], b) for b in sorted(blocks, key=_chain_key) if b.m >= 0)
+    return tuple((tuple(v for v in h if v is not INFINITE), h, b) for h, b in vectors)
 
 
 @lru_cache(maxsize=None)
 def _node_windows(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """(node, window) for each simple root off the Levi, in node order."""
-    return tuple((a, _node_window(rs, a)) for a in range(1, rs.rank + 1) if a not in levi)
+    """(node, window) for each simple root off the Levi, in node order.  The
+    window holds the positions of the node-supported positive roots, where a
+    block at the node is finite; in root order, so the node comes first."""
+    return tuple(
+        (a, tuple(i for i, g in enumerate(rs.positive_roots) if g.coeffs[a - 1]))
+        for a in range(1, rs.rank + 1) if a not in levi
+    )
 
 
 def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Optional[Tuple]:
@@ -615,7 +608,7 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     """
     if _check_int(alpha) in P.levi or not 1 <= alpha <= P.rs.rank:
         raise InvalidScheme(f"a{alpha} is not outside the Levi {sorted(P.levi)}")
-    return _generated(P, alpha, _node_window(P.rs, alpha))[2]
+    return _generated(P, alpha, dict(_node_windows(P.rs, P.levi))[alpha])[2]
 
 
 def _generated_blocks(P: ParabolicScheme) -> Dict[int, RankOneBlock]:

@@ -14,7 +14,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -448,10 +447,16 @@ def find_incidence_root(
     outside = frozenset(range(1, rs.rank + 1)) - I
     if not L or not L <= outside:
         raise InvalidPartition(f"left side {sorted(L)} must be nonempty inside Delta\\I")
-    R = outside - L
-    if not R:
+    if L == outside:
         raise InvalidPartition("right side of the partition is empty")
+    return _incidence_root(rs, I, L)
 
+
+@lru_cache(maxsize=None)
+def _incidence_root(rs: RootSystem, I: FrozenSet[int], L: FrozenSet[int]) -> Tuple[int, Root]:
+    """find_incidence_root for a Levi subset I and a left side L that its
+    caller has checked."""
+    R = frozenset(range(1, rs.rank + 1)) - I - L
     _, nu, mu, coeffs = min(
         (g.height, nu, mu, g.coeffs)
         for g in _connected_sets(rs)
@@ -490,6 +495,26 @@ class LeviComponent:
         return Root(tuple(coeffs))
 
 
+def _embedding(
+    sub: List[List[int]], cartan: Tuple[Tuple[int, ...], ...], perm: Tuple[int, ...]
+) -> Optional[Tuple[int, ...]]:
+    """The lexicographically least extension of `perm` (perm[k] = the row of
+    `sub` realising index k+1 of `cartan`) under which `sub` equals `cartan`,
+    or None.  Depth first, each row tried in increasing order; a prefix that
+    already breaks an entry is dropped."""
+    k = len(perm)
+    if k == len(sub):
+        return perm
+    for j in range(len(sub)):
+        if j not in perm and all(
+            sub[j][i] == cartan[k][a] and sub[i][j] == cartan[a][k] for a, i in enumerate(perm)
+        ):
+            found = _embedding(sub, cartan, perm + (j,))
+            if found is not None:
+                return found
+    return None
+
+
 def levi_components(rs: RootSystem, subset: Iterable[int]) -> Tuple[LeviComponent, ...]:
     """Split a set of simple indices into connected components and classify
     each induced sub-diagram as a standard irreducible type."""
@@ -505,20 +530,11 @@ def levi_components(rs: RootSystem, subset: Iterable[int]) -> Tuple[LeviComponen
     for nodes in comps:
         r = len(nodes)
         sub = [[rs.cartan[a - 1][b - 1] for b in nodes] for a in nodes]
-        match: Optional[LeviComponent] = None
         for cand in (RootSystemType(s, r) for s in SERIES if _RANK_OK[s](r)):
-            cs = build_root_system(cand)
-            for perm in itertools.permutations(range(r)):
-                # perm[k] = position in `nodes` realising candidate index k+1
-                if all(
-                    sub[perm[a]][perm[b]] == cs.cartan[a][b]
-                    for a in range(r) for b in range(r)
-                ):
-                    match = LeviComponent(cand, tuple(nodes[perm[k]] for k in range(r)))
-                    break
-            if match:
+            perm = _embedding(sub, build_root_system(cand).cartan, ())
+            if perm is not None:
+                out.append(LeviComponent(cand, tuple(nodes[j] for j in perm)))
                 break
-        if match is None:
+        else:
             raise InvalidRootSystem(f"unclassifiable sub-diagram {nodes} of {rs.rtype}")
-        out.append(match)
     return tuple(out)

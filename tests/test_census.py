@@ -31,7 +31,7 @@ from parabolics import (
     schemes_to_jsonl,
     vsi_pullback,
 )
-from parabolics.errors import SearchSpaceTooLarge
+from parabolics.errors import InvalidScheme, SearchSpaceTooLarge
 
 G2 = root_system("G2")
 B2 = root_system("B2")
@@ -65,6 +65,16 @@ def test_catalog_edge_hypothesis_types():
     assert any(b.kind is BlockKind.VERY_SPECIAL for b in rank_one_catalog(G2, 3, 1, 1))
     assert all(b.kind is BlockKind.STANDARD
                for b in rank_one_catalog(root_system("F4"), 3, 2, 2))
+
+
+@pytest.mark.parametrize("alpha,message", [
+    (0, "anchor a0 outside 1..2"), (3, "anchor a3 outside 1..2"),
+    (True, "True is not an integer"), (1.0, "1.0 is not an integer"),
+])
+def test_catalog_rejects_an_anchor_outside_the_rank(alpha, message):
+    rank_one_catalog(B2, 2, 1, 1)  # warms the block kinds at node 1, which True and 1.0 equal
+    with pytest.raises(InvalidScheme, match=f"^{message}$"):
+        rank_one_catalog(B2, 2, alpha, 1)
 
 
 # ---------------------------------------------------------------------------

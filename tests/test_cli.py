@@ -280,6 +280,13 @@ def test_blocks_out_of_range_input_is_a_domain_error(option):
     assert "Traceback" not in proc.stderr
 
 
+def test_blocks_anchor_outside_the_rank_names_the_anchor():
+    proc = run_process("blocks", "--type", "B2", "--prime", "2", "--alpha", "3")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "InvalidScheme: anchor a3 outside 1..2\n"
+
+
 def test_format_the_subcommand_does_not_write_is_a_usage_error():
     proc = run_process("info", "--type", "B2", "--format", "dot")
     assert proc.returncode == 2

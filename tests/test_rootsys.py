@@ -18,6 +18,7 @@ from parabolics.errors import (
     EdgeHypothesisNotSatisfied,
     InvalidPartition,
     InvalidRootSystem,
+    InvalidScheme,
     NotARoot,
     UnsupportedType,
 )
@@ -322,6 +323,17 @@ def test_find_incidence_root_bad_partition():
         find_incidence_root(rs, {1}, {1})
 
 
+def test_find_incidence_root_checks_its_input_before_the_cache():
+    rs = root_system("B3")
+    assert find_incidence_root(rs, [], [1]) == (1, Root.of(0, 1, 0))
+    # frozenset({True}) == frozenset({1}), so the checks must run first
+    for left in ([True], [1.0]):
+        with pytest.raises(InvalidScheme):
+            find_incidence_root(rs, [], left)
+    with pytest.raises(InvalidScheme):
+        find_incidence_root(rs, [True], [2])
+
+
 #: the types whose every partition pins find_incidence_root to the reference
 INCIDENCE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5",
                    "F4", "G2", "E6", "E7"]
@@ -442,6 +454,62 @@ def test_levi_components_classification():
     assert comps[0].rtype == RootSystemType("B", 3)
     comps = levi_components(f4, {2, 3, 4})
     assert comps[0].rtype == RootSystemType("C", 3)
+
+
+#: every admitted (series, rank) up to rank 8
+ALL_TYPES = {(s, r) for s, lo, hi in [("A", 1, 8), ("B", 2, 8), ("C", 2, 8), ("D", 3, 8),
+                                      ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)]
+             for r in range(lo, hi + 1)}
+
+
+def _permutation_components(rs, subset):
+    """Reference: each component's type and index_map by trying every node
+    order against every candidate type, in order, keeping the first match."""
+    out = []
+    for nodes in _dfs_components(rs, subset):
+        r = len(nodes)
+        sub = [[rs.cartan[a - 1][b - 1] for b in nodes] for a in nodes]
+        cands = [(RootSystemType(s, r), root_system(f"{s}{r}").cartan)
+                 for s in "ABCDEFG" if (s, r) in ALL_TYPES]
+        out.append(next(
+            (rtype, tuple(nodes[k] for k in perm))
+            for rtype, cartan in cands
+            for perm in itertools.permutations(range(r))
+            if all(sub[perm[a]][perm[b]] == cartan[a][b] for a in range(r) for b in range(r))
+        ))
+    return out
+
+
+#: the grid on which levi_components is pinned to the permutation reference
+COMPONENT_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6",
+                   "C2", "C3", "C4", "C5", "C6", "D3", "D4", "D5", "D6", "D7",
+                   "E6", "E7", "F4", "G2"]
+
+
+def test_levi_components_match_the_permutation_reference():
+    count = 0
+    for label in COMPONENT_TYPES:
+        rs = root_system(label)
+        for r in range(rs.rank + 1):
+            for subset in itertools.combinations(range(1, rs.rank + 1), r):
+                got = [(c.rtype, c.index_map) for c in levi_components(rs, subset)]
+                assert got == _permutation_components(rs, subset), (label, subset)
+                count += 1
+    assert count == 834
+
+
+@pytest.mark.parametrize("label,subset,expected", [
+    ("D16", range(2, 17), [("D15", tuple(range(2, 17)))]),
+    ("D16", range(1, 17), [("D16", tuple(range(1, 17)))]),
+    ("D16", [1, 2, 3, 15, 16], [("A3", (1, 2, 3)), ("A1", (15,)), ("A1", (16,))]),
+    ("E8", range(1, 9), [("E8", tuple(range(1, 9)))]),
+    ("E8", range(2, 9), [("D7", (8, 7, 6, 5, 4, 2, 3))]),
+    ("E8", range(1, 8), [("E7", tuple(range(1, 8)))]),
+    ("E8", [1, 3, 4, 5, 6, 7, 8], [("A7", (1, 3, 4, 5, 6, 7, 8))]),
+])
+def test_levi_components_of_large_diagrams(label, subset, expected):
+    comps = levi_components(root_system(label), subset)
+    assert [(str(c.rtype), c.index_map) for c in comps] == expected
 
 
 def test_levi_component_embedding_counts():
