@@ -31,6 +31,7 @@ from .phi import (
     _check_prime,
     _containment_bitsets,
     _off_levi,
+    _row_format,
     block_phi,  # unused here; the benchmark's tracer test reads census.block_phi
     is_normalized,
     is_valid,
@@ -188,32 +189,24 @@ def schemes_to_jsonl(schemes: Iterable[ParabolicScheme]) -> str:
 
 
 def schemes_to_csv(schemes: Iterable[ParabolicScheme]) -> str:
-    lines = ["type,prime,levi,phi"]
-    for P in schemes:
-        levi = " ".join(str(i) for i in sorted(P.levi))
-        lines.append(f"{P.rs.rtype},{P.p},{levi},{P.to_compact()}")
-    return "\n".join(lines) + "\n"
+    rows = (_row_format(P.rs, P.levi).csv % P.p + P.to_compact() for P in schemes)
+    return "\n".join(["type,prime,levi,phi", *rows]) + "\n"
 
 
 def fano_to_csv(rows: Iterable[FanoRow]) -> str:
     lines = ["type,p,levi,phi-hash,fano,certificate-root,pairing-value"]
     for r in rows:
-        P = r.scheme
-        levi = " ".join(str(i) for i in sorted(P.levi))
-        cert_root = str(r.certificate.beta_l) if r.certificate else ""
-        cert_val = str(r.certificate.pairing_value) if r.certificate else ""
+        P, cert = r.scheme, r.certificate
         lines.append(
-            f"{P.rs.rtype},{P.p},{levi},{phi_hash(P)},"
-            f"{str(r.fano).lower()},{cert_root},{cert_val}"
+            f"{_row_format(P.rs, P.levi).csv % P.p}{phi_hash(P)},{str(r.fano).lower()},"
+            f"{cert.beta_l if cert else ''},{cert.pairing_value if cert else ''}"
         )
     return "\n".join(lines) + "\n"
 
 
 def hasse_to_dot(diagram: HasseDiagram) -> str:
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for i, P in enumerate(diagram.schemes):
-        lines.append(f'  n{i} [label="{P.to_compact()}"];')
-    for lo, hi in diagram.edges:
-        lines.append(f"  n{lo} -> n{hi};")
+    lines += (f'  n{i} [label="{P.to_compact()}"];' for i, P in enumerate(diagram.schemes))
+    lines += (f"  n{lo} -> n{hi};" for lo, hi in diagram.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

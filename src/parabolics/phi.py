@@ -30,7 +30,8 @@ largest height: m for Standard(m), m+1 for every other kind X(m).  The chain
 key m + top orders blocks along their kernel chain Standard(0) < X(0) <
 Standard(1) < X(1) < ..., for the anchored candidates and the certificate.
 `_chain` is the one cache of the anchored candidates, per system, prime,
-node and anchor height; `_node_windows` caches the nodes off each Levi.
+node and anchor height.  Per Levi subset, `_node_windows` caches the nodes
+off it, and `_row_format` the templates of every writer, so a row is one `%`.
 
 Reconstruction recovers the minimal anchored block at each node and
 re-intersects; a height function is valid exactly when this is the identity,
@@ -44,8 +45,9 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import compress
-from operator import add, and_, eq, ge, or_
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from operator import add, and_, eq, ge, itemgetter, or_
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Union
 
 from .errors import (
     EdgeHypothesisNotSatisfied,
@@ -251,21 +253,19 @@ class ParabolicScheme:
         }
 
     def canonical_json(self) -> str:
-        """_canonical(self.to_json_dict()), filled into a cached template."""
-        template, order = _json_template(self.rs, self.levi)
-        return template % (*map(self.heights.__getitem__, order), self.p)
+        """_canonical(self.to_json_dict()), filled into the cached row format."""
+        template, get = _row_format(self.rs, self.levi).json
+        return template % (*get(self.heights), self.p)
 
     def to_text(self) -> str:
         """A header line, then a `  phi(<root>) = <height>` line per root off the Levi."""
-        head = f"type {self.rs.rtype}  prime {self.p}  levi {sorted(self.levi) or '[]'}"
-        return head + "".join(
-            k + str(v) for k, v in zip(_text_prefixes(self.rs), self.heights) if v is not INFINITE
-        )
+        template, get = _row_format(self.rs, self.levi).text
+        return template % (self.p, *get(self.heights))
 
     def to_compact(self) -> str:
         """The heights off the Levi in root order, joined by ';' (the CSV and DOT field)."""
-        finite = tuple([v for v in self.heights if v is not INFINITE])
-        return ("%d;" * len(finite))[:-1] % finite
+        template, get = _row_format(self.rs, self.levi).compact
+        return template % get(self.heights)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ParabolicScheme":
@@ -295,20 +295,37 @@ def _json_keys(rs: RootSystem) -> Tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _json_template(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[str, Tuple[int, ...]]:
-    """Canonical JSON of the schemes on (rs, levi) with a %d per height, in
-    sort_keys order, and for the prime; and the positions of those heights."""
-    keys = _json_keys(rs)
-    blank = tuple(INFINITE if g.support() <= levi else "%d" for g in rs.positive_roots)
-    order = sorted((i for i, v in enumerate(blank) if v is not INFINITE), key=keys.__getitem__)
-    template = _canonical(ParabolicScheme._of(rs, "%d", levi, blank).to_json_dict())
-    return template.replace('"%d"', "%d"), tuple(order)
+def _text_labels(rs: RootSystem) -> Tuple[str, ...]:
+    """Text row ("\\n  phi(a1+a2) = %d") of each positive root, indexed like heights."""
+    return tuple(f"\n  phi({g}) = %d" for g in rs.positive_roots)
+
+
+class _RowFormat(NamedTuple):
+    """Per format of one (system, Levi subset): a %d template, the getter of its heights."""
+
+    json: Tuple[str, Callable]  # the heights in sort_keys order, then the prime
+    text: Tuple[str, Callable]  # the prime, then the finite heights in root order
+    compact: Tuple[str, Callable]  # "%d;...;%d", the finite heights in root order
+    csv: str  # the CSV columns before phi, "<type>,%d,<levi>,", a %d for the prime
 
 
 @lru_cache(maxsize=None)
-def _text_prefixes(rs: RootSystem) -> Tuple[str, ...]:
-    """Text row prefix ("\\n  phi(a1+a2) = ") of each positive root, indexed like heights."""
-    return tuple(f"\n  phi({g}) = " for g in rs.positive_roots)
+def _row_format(rs: RootSystem, levi: FrozenSet[int]) -> _RowFormat:
+    """Every row format of the schemes on (rs, levi), from the per-system labels."""
+    def pick(ix):  # an exact-size tuple; itemgetter returns one for two or more indices
+        return itemgetter(*ix) if len(ix) > 1 else lambda h: tuple([h[i] for i in ix])
+
+    keys, labels = _json_keys(rs), _text_labels(rs)
+    blank = tuple(INFINITE if g.support() <= levi else "%d" for g in rs.positive_roots)
+    finite = tuple(i for i, v in enumerate(blank) if v is not INFINITE)
+    json_row = _canonical(ParabolicScheme._of(rs, "%d", levi, blank).to_json_dict())
+    text_rows, get = "".join(map(labels.__getitem__, finite)), pick(finite)
+    return _RowFormat(
+        (json_row.replace('"%d"', "%d"), pick(sorted(finite, key=keys.__getitem__))),
+        (f"type {rs.rtype}  prime %d  levi {sorted(levi)}{text_rows}", get),
+        (";".join(["%d"] * len(finite)), get),
+        f"{rs.rtype},%d,{' '.join(map(str, sorted(levi)))},",
+    )
 
 
 def reduced_scheme(rs: RootSystem, p: int, levi: Iterable[int] = ()) -> ParabolicScheme:
@@ -537,7 +554,7 @@ def _census_meets(
     rows = (x.to_bytes(n, "big") for x in sorted(found))
     if k > 1:
         rows = ([int.from_bytes(b[i:i + k], "big") for i in range(0, n, k)] for b in rows)
-    return tuple(ParabolicScheme._of(rs, p, levi, tuple(map(codes.get, c, c))) for c in rows)
+    return tuple(ParabolicScheme._of(rs, p, levi, (*map(codes.get, c, c),)) for c in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +565,17 @@ def anchored_candidates(
     rs: RootSystem, p: int, alpha: int, anchor: int
 ) -> Tuple[RankOneBlock, ...]:
     """Catalog blocks at alpha whose height on alpha equals `anchor`, in
-    increasing containment order (_chain)."""
-    return tuple(entry[2] for entry in _chain(rs, p, alpha, anchor))
+    increasing containment order (_chain); a bool or float node or anchor is refused."""
+    return tuple(entry[2] for entry in _chain(rs, p, _check_int(alpha), _check_int(anchor)))
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _chain(rs: RootSystem, p: int, alpha: int, anchor: int) -> Tuple[Tuple, ...]:
     """(window heights, block vector, block) of each catalog block at alpha
     whose height on alpha equals `anchor`, in increasing containment order;
     the window heights are the block's finite ones.  The blocks form a chain
     because Standard(m) is contained in X(m), and X(m) in Standard(m+1), for
-    every other kind X."""
+    every other kind X.  The cache is untyped: callers pass int nodes and anchors."""
     blocks = (
         RankOneBlock(alpha, k, anchor - block_anchor_height(rs, RankOneBlock(alpha, k, 0)))
         for k in _block_kinds(rs, p, alpha)

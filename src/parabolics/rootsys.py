@@ -518,7 +518,12 @@ def _embedding(
 def levi_components(rs: RootSystem, subset: Iterable[int]) -> Tuple[LeviComponent, ...]:
     """Split a set of simple indices into connected components and classify
     each induced sub-diagram as a standard irreducible type."""
-    S = set(check_levi(rs, subset))
+    return _levi_components(rs, check_levi(rs, subset))
+
+
+@lru_cache(maxsize=None)
+def _levi_components(rs: RootSystem, S: FrozenSet[int]) -> Tuple[LeviComponent, ...]:
+    """levi_components of a subset S that its caller has checked."""
     comps: List[List[int]] = []
     for g in reversed(_connected_sets(rs)):  # a component comes before its subsets
         if g.support() <= S:

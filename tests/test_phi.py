@@ -763,6 +763,7 @@ UNCOERCED = {
     "bool node in the kind table": lambda: _block_kinds(B2, 2, True),
     "bool anchored-candidates node": lambda: anchored_candidates(B2, 2, True, 1),
     "float anchored-candidates anchor": lambda: anchored_candidates(B2, 2, 1, 1.0),
+    "bool anchored-candidates anchor": lambda: anchored_candidates(B2, 2, 1, True),
     "bool generated-block node": lambda: generated_block(reduced_scheme(B2, 2), True),
     "float generated-block node": lambda: generated_block(reduced_scheme(B2, 2), 1.0),
     "float Frobenius twist": lambda: frobenius_pullback(reduced_scheme(B2, 2), 0.5),

@@ -334,6 +334,15 @@ def test_find_incidence_root_checks_its_input_before_the_cache():
         find_incidence_root(rs, [True], [2])
 
 
+def test_levi_components_checks_its_input_before_the_cache():
+    rs = root_system("B3")
+    assert [c.index_map for c in levi_components(rs, [1])] == [(1,)]
+    # frozenset({True}) == frozenset({1}), so the check must run first
+    for subset in ([True], [1.0]):
+        with pytest.raises(InvalidScheme):
+            levi_components(rs, subset)
+
+
 #: the types whose every partition pins find_incidence_root to the reference
 INCIDENCE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5",
                    "F4", "G2", "E6", "E7"]

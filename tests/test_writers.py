@@ -1,0 +1,115 @@
+"""Every writer against a reference built from phi_items, to_json_dict and _canonical.
+
+The writers (`to_text`, `to_compact`, `canonical_json`, the rows of
+`schemes_to_csv` and `fano_to_csv`, the labels of `hasse_to_dot`) fill cached
+row formats; the reference formats each row from scratch and never reads those
+caches.  Every Levi subset of the types below, the empty and the full one
+included, carries heights drawn from 0, 9, 10, 127 and 130, so one-, two- and
+three-digit values meet in a row; one census reaches height 130, where the
+census kernel packs two-byte lanes.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+from parabolics import (
+    CensusQuery,
+    HasseDiagram,
+    ParabolicScheme,
+    enumerate_parabolics,
+    fano_census,
+    fano_to_csv,
+    hasse_diagram,
+    hasse_to_dot,
+    root_system,
+    schemes_to_csv,
+    schemes_to_jsonl,
+)
+from parabolics.phi import _canonical
+
+TYPES = ["A1", "A2", "A3", "B2", "B3", "B4", "C3", "D4", "F4", "G2"]
+HEIGHTS = (0, 9, 10, 127, 130)
+#: the prime only fills its field; a long one checks the field is not truncated
+PRIMES = (2, 3, 2 ** 61 - 1)
+
+
+def ref_compact(P):
+    return ";".join(str(v) for _, v in P.phi_items())
+
+
+def ref_text(P):
+    d = P.to_json_dict()
+    head = f"type {d['type']}  prime {d['prime']}  levi {d['levi']}"
+    return head + "".join(f"\n  phi({g}) = {v}" for g, v in P.phi_items())
+
+
+def ref_csv_head(P):
+    d = P.to_json_dict()
+    return f"{d['type']},{d['prime']},{' '.join(map(str, d['levi']))},"
+
+
+def ref_json(P):
+    return _canonical(P.to_json_dict())
+
+
+def ref_dot_labels(schemes):
+    return [f'  n{i} [label="{ref_compact(P)}"];' for i, P in enumerate(schemes)]
+
+
+def every_levi(rs):
+    nodes = range(1, rs.rank + 1)
+    return [set(c) for r in range(rs.rank + 1) for c in itertools.combinations(nodes, r)]
+
+
+def schemes_over_every_levi(label, p):
+    """Five schemes per Levi subset; root i of scheme s has height HEIGHTS[(i + s) % 5]."""
+    rs = root_system(label)
+    out = []
+    for levi in every_levi(rs):
+        domain = [g for g in rs.positive_roots if not g.support() <= levi]
+        for s in range(len(HEIGHTS)):
+            phi = {g: HEIGHTS[(i + s) % len(HEIGHTS)] for i, g in enumerate(domain)}
+            out.append(ParabolicScheme(rs, p, levi, phi))
+    return out
+
+
+def check_writers(schemes):
+    for P in schemes:
+        assert P.to_text() == ref_text(P)
+        assert P.to_compact() == ref_compact(P)
+        assert P.canonical_json() == ref_json(P)
+    assert schemes_to_jsonl(schemes) == "".join(ref_json(P) + "\n" for P in schemes)
+    rows = schemes_to_csv(schemes).split("\n")
+    assert rows[0] == "type,prime,levi,phi" and rows[-1] == ""
+    assert rows[1:-1] == [ref_csv_head(P) + ref_compact(P) for P in schemes]
+    dot = hasse_to_dot(HasseDiagram(tuple(schemes), ())).split("\n")
+    assert dot == ["digraph hasse {", "  rankdir=BT;", *ref_dot_labels(schemes), "}", ""]
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_writers_match_the_reference_on_every_levi_subset(label):
+    for p in PRIMES:
+        check_writers(schemes_over_every_levi(label, p))
+
+
+def test_writers_match_the_reference_on_a_two_byte_lane_census():
+    q = CensusQuery(root_system("B2").rtype, 2, frozenset({1}), 130)
+    schemes = enumerate_parabolics(q)
+    assert len(schemes) == 261 and max(P.max_height for P in schemes) == 130
+    check_writers(schemes)
+    dot = hasse_to_dot(hasse_diagram(q)).split("\n")
+    assert dot[2:2 + len(schemes)] == ref_dot_labels(schemes)
+
+
+@pytest.mark.parametrize("label", ["B2", "B3", "G2"])
+def test_fano_csv_rows_match_the_reference(label):
+    rs = root_system(label)
+    for levi in every_levi(rs):
+        rows = fano_census(CensusQuery(rs.rtype, 2, frozenset(levi), 1))
+        lines = fano_to_csv(rows).split("\n")[1:-1]
+        assert len(lines) == len(rows)
+        for line, r in zip(lines, rows):
+            digest = hashlib.sha256(ref_json(r.scheme).encode()).hexdigest()[:12]
+            assert line.startswith(f"{ref_csv_head(r.scheme)}{digest},{str(r.fano).lower()},")
