@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ExoticBlocksPresent, InvalidScheme, SearchSpaceTooLarge
-from .geometry import NotFanoCertificate, _certificate, is_fano, picard_rank
+from .geometry import NotFanoCertificate, _certificate, is_fano
 from .phi import (
     INFINITE,
     Height,
@@ -30,7 +30,7 @@ from .phi import (
     _census_meets,
     _check_prime,
     _containment_bitsets,
-    _off_levi,
+    _levi_split,
     _row_format,
     block_phi,  # unused here; the benchmark's tracer test reads census.block_phi
     is_normalized,
@@ -65,6 +65,7 @@ def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> Lis
     kind admitted at alpha at 0..M-1."""
     if _check_int(max_height) < 0:
         raise InvalidScheme("max_height must be >= 0")
+    _check_prime(p)
     blocks = (
         RankOneBlock(alpha, kind, m)
         for kind in _block_kinds(rs, p, alpha)
@@ -94,7 +95,7 @@ def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     guard."""
     rs = q.system
     levi = check_levi(rs, q.levi)
-    domain = [rs.index[g] for g in _off_levi(rs, levi)]
+    domain = _levi_split(rs, levi)[1]
     if (q.max_height + 2) ** len(domain) > BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(
             f"(M+2)^{len(domain)} exceeds {BRUTE_FORCE_GUARD} candidates"
@@ -126,11 +127,14 @@ class FanoRow:
 def fano_census(q: CensusQuery) -> Tuple[FanoRow, ...]:
     """Fano status for every enumerated scheme; the incidence certificate is
     attached where its machinery applies (normalized, quasi-standard, Picard
-    rank at least two)."""
+    rank at least two).  The gate is decided once per query: the query's Levi
+    fixes the Picard rank, and normalized_only rows are normalized by construction."""
     rows: List[FanoRow] = []
-    for P in enumerate_parabolics(q):
+    schemes = enumerate_parabolics(q)  # checks the Levi subset; its size fixes the Picard rank
+    certify = q.rtype.rank - len(frozenset(q.levi)) >= 2
+    for P in schemes:
         cert: Optional[NotFanoCertificate] = None
-        if picard_rank(P) >= 2 and is_normalized(P):
+        if certify and (q.normalized_only or is_normalized(P)):
             try:
                 cert = _certificate(P)
             except ExoticBlocksPresent:

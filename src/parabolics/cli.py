@@ -345,10 +345,7 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, out)
-    except ParabolicsError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ParabolicsError, OSError, json.JSONDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

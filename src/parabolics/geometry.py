@@ -29,6 +29,7 @@ from .phi import (
     RankOneBlock,
     _chain_key,
     _generated_blocks,
+    _levi_split,
     block_phi,
     intersect_all,
     is_normalized,
@@ -94,7 +95,7 @@ _powers = lru_cache(maxsize=None)(_Powers)  # one table per prime
 
 def _weights(P: ParabolicScheme) -> Tuple[int, ...]:
     """p**phi(gamma) per positive root, 0 on the Levi roots."""
-    return tuple(map(_powers(P.p).__getitem__, P.heights))
+    return (*map(_powers(P.p).__getitem__, P.heights),)
 
 
 def anticanonical_character(P: ParabolicScheme) -> Character:
@@ -219,11 +220,7 @@ def _restrict_factors(
         sub_levi = frozenset(
             k for k in range(1, sub.rank + 1) if comp.index_map[k - 1] in P.levi
         )
-        phi: Dict[Root, int] = {}
-        for g in sub.positive_roots:
-            if g.support() <= sub_levi:
-                continue
-            phi[g] = P.finite_height(comp.embed(g, P.rs.rank))
+        phi = {g: P.finite_height(comp.embed(g, P.rs.rank)) for g in _levi_split(sub, sub_levi)[0]}
         out.append(
             FiberFactor(
                 ParabolicScheme(sub, P.p, sub_levi, phi),
@@ -288,13 +285,11 @@ def fibration_sequence(P: ParabolicScheme) -> List[FibrationStep]:
         frs = chosen.scheme.rs
         base_dim = sum(1 for g in frs.positive_roots if a in g.support())
         subset = frozenset(range(1, frs.rank + 1)) - {a}
-        new_raw = _restrict_factors(chosen.scheme, subset, chosen.labels)
         stripped: List[KernelRecord] = []
-        for raw in new_raw:
+        for raw in _restrict_factors(chosen.scheme, subset, chosen.labels):
             norm, recs = _normalize_factor(raw)
             stripped.extend(recs)
-            if set(norm.scheme.levi) != set(range(1, norm.scheme.rs.rank + 1)):
-                factors.append(norm)
+            factors.append(norm)
         factors.sort(key=lambda f: min(f.labels))
         steps.append(
             FibrationStep(

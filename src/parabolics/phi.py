@@ -30,8 +30,9 @@ largest height: m for Standard(m), m+1 for every other kind X(m).  The chain
 key m + top orders blocks along their kernel chain Standard(0) < X(0) <
 Standard(1) < X(1) < ..., for the anchored candidates and the certificate.
 `_chain` is the one cache of the anchored candidates, per system, prime,
-node and anchor height.  Per Levi subset, `_node_windows` caches the nodes
-off it, and `_row_format` the templates of every writer, so a row is one `%`.
+node and anchor height.  Per Levi subset, `_levi_split` caches the roots off
+it, their positions and the window of each node off it, and `_row_format`
+the templates of every writer, so a row is one `%`.
 
 Reconstruction recovers the minimal anchored block at each node and
 re-intersects; a height function is valid exactly when this is the identity,
@@ -63,7 +64,6 @@ from .rootsys import (
     _check_int,
     build_root_system,
     check_levi,
-    levi_positive_roots,
     very_special_dual,
 )
 
@@ -144,9 +144,18 @@ def _check_prime(p: object) -> None:
 
 
 @lru_cache(maxsize=None)
-def _off_levi(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[Root, ...]:
-    inside = levi_positive_roots(rs, levi)
-    return tuple(g for g in rs.positive_roots if g not in inside)
+def _levi_split(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[Tuple, Tuple, Tuple]:
+    """(roots, positions, windows) off the Levi: the positive roots not supported
+    inside it and their positions in the height vector, in root order, and the
+    (node, window) of each node off it.  A window holds the positions of the
+    node-supported roots, where a block at the node is finite; the node's is first."""
+    pos = rs.positive_roots
+    positions = tuple(i for i, g in enumerate(pos) if not g.support() <= levi)
+    windows = tuple(
+        (a, tuple(i for i, g in enumerate(pos) if g.coeffs[a - 1]))
+        for a in range(1, rs.rank + 1) if a not in levi
+    )
+    return tuple(map(pos.__getitem__, positions)), positions, windows
 
 
 def edge_hypothesis(rs: RootSystem, p: int) -> bool:
@@ -176,15 +185,15 @@ class ParabolicScheme:
         self.rs = rs
         self.p = p
         self.levi = check_levi(rs, levi)
-        domain = _off_levi(rs, self.levi)
+        domain, positions, _ = _levi_split(rs, self.levi)
         heights: List[Height] = [INFINITE] * len(rs.positive_roots)
-        for g in domain:
+        for g, i in zip(domain, positions):
             if g not in phi:
                 raise InvalidScheme(f"phi missing value at {g}")
             v = phi[g]
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InvalidScheme(f"phi({g}) = {v!r} is not a non-negative integer")
-            heights[rs.index[g]] = v
+            heights[i] = v
         if len(phi) != len(domain):
             extra = set(phi) - set(domain)
             raise InvalidScheme(f"phi defined off its domain at {sorted(extra, key=str)}")
@@ -201,7 +210,7 @@ class ParabolicScheme:
 
     @property
     def domain(self) -> Tuple[Root, ...]:
-        return _off_levi(self.rs, self.levi)
+        return _levi_split(self.rs, self.levi)[0]
 
     def height(self, gamma: Root) -> Height:
         """Height of the scheme on a positive root; INFINITE on Levi roots."""
@@ -331,7 +340,7 @@ def _row_format(rs: RootSystem, levi: FrozenSet[int]) -> _RowFormat:
 def reduced_scheme(rs: RootSystem, p: int, levi: Iterable[int] = ()) -> ParabolicScheme:
     """The reduced parabolic P_I (phi identically zero off the Levi)."""
     I = check_levi(rs, levi)
-    return ParabolicScheme(rs, p, I, {g: 0 for g in _off_levi(rs, I)})
+    return ParabolicScheme(rs, p, I, {g: 0 for g in _levi_split(rs, I)[0]})
 
 
 def full_group_scheme(rs: RootSystem, p: int) -> ParabolicScheme:
@@ -584,17 +593,6 @@ def _chain(rs: RootSystem, p: int, alpha: int, anchor: int) -> Tuple[Tuple, ...]
     return tuple((tuple(v for v in h if v is not INFINITE), h, b) for h, b in vectors)
 
 
-@lru_cache(maxsize=None)
-def _node_windows(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """(node, window) for each simple root off the Levi, in node order.  The
-    window holds the positions of the node-supported positive roots, where a
-    block at the node is finite; in root order, so the node comes first."""
-    return tuple(
-        (a, tuple(i for i, g in enumerate(rs.positive_roots) if g.coeffs[a - 1]))
-        for a in range(1, rs.rank + 1) if a not in levi
-    )
-
-
 def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Optional[Tuple]:
     """The _chain entry of the first anchored candidate at alpha containing P,
     or None.  A block is INFINITE off its window, and P is finite on it
@@ -625,18 +623,18 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     """
     if _check_int(alpha) in P.levi or not 1 <= alpha <= P.rs.rank:
         raise InvalidScheme(f"a{alpha} is not outside the Levi {sorted(P.levi)}")
-    return _generated(P, alpha, dict(_node_windows(P.rs, P.levi))[alpha])[2]
+    return _generated(P, alpha, dict(_levi_split(P.rs, P.levi)[2])[alpha])[2]
 
 
 def _generated_blocks(P: ParabolicScheme) -> Dict[int, RankOneBlock]:
     """The generated block at each simple root off the Levi, by node."""
-    return {a: _generated(P, a, w)[2] for a, w in _node_windows(P.rs, P.levi)}
+    return {a: _generated(P, a, w)[2] for a, w in _levi_split(P.rs, P.levi)[2]}
 
 
 def reconstruct(P: ParabolicScheme) -> ParabolicScheme:
     """Intersection of the generated blocks over the simple roots off the
     Levi; equals P exactly when P is a genuine parabolic scheme."""
-    vectors = [_generated(P, a, w)[1] for a, w in _node_windows(P.rs, P.levi)]
+    vectors = [_generated(P, a, w)[1] for a, w in _levi_split(P.rs, P.levi)[2]]
     if not vectors:
         return P
     heights = reduce(lambda h, v: tuple(map(height_min, h, v)), vectors)
@@ -648,12 +646,13 @@ def _is_cover(P: ParabolicScheme) -> bool:
     P (a fallback block drops below it), and (b) each root off the Levi is a
     root where one of them equals P (a block is INFINITE off its window)."""
     h, hit = P.heights, set()
-    for alpha, window in _node_windows(P.rs, P.levi):
+    _, positions, windows = _levi_split(P.rs, P.levi)
+    for alpha, window in windows:
         entry = _covering(P, alpha, window)
         if entry is None:
             return False
         hit.update(compress(window, map(eq, entry[0], map(h.__getitem__, window))))
-    return len(hit) == len(_off_levi(P.rs, P.levi))
+    return len(hit) == len(positions)
 
 
 def is_valid(P: ParabolicScheme) -> bool:

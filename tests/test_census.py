@@ -77,6 +77,16 @@ def test_catalog_rejects_an_anchor_outside_the_rank(alpha, message):
         rank_one_catalog(B2, 2, alpha, 1)
 
 
+@pytest.mark.parametrize("p,message", [
+    (4, "characteristic 4 is not prime"), (1, "characteristic 1 is not prime"),
+    (True, "characteristic True is not prime"),
+    (2 ** 64 + 13, "characteristic 18446744073709551629 is not below the limit 2\\*\\*64"),
+])
+def test_catalog_rejects_a_characteristic_that_is_not_prime(p, message):
+    with pytest.raises(InvalidScheme, match=f"^{message}$"):
+        rank_one_catalog(B2, p, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 

@@ -8,7 +8,9 @@ Run from anywhere; the checkout is the directory above this file.  Each
 workload runs one untraced pass of `bench/worker.run_pass` (which it only
 imports) in a fresh interpreter, so the caches start cold as in the
 benchmark.  The table has one row per cache, with hits/misses per workload;
-a `*` marks a cache with no hit on any workload run.
+a `*` marks a cache with no hit on any workload run, and the script then
+names those caches on stderr and exits 1.  A cache one workload never hits
+may be hit by another, so a run of fewer workloads can fail where all pass.
 """
 
 from __future__ import annotations
@@ -67,10 +69,16 @@ def main(argv=None) -> int:
     names = sorted(set().union(*columns.values()))
     width = max(map(len, names))
     print(f"{'cache':<{width}}  " + "  ".join(f"{w:>17}" for w in workloads))
+    unhit = []
     for name in names:
         cells = [columns[w].get(name, (0, 0)) for w in workloads]
-        mark = "*" if not any(h for h, _ in cells) else " "
+        mark = " " if any(h for h, _ in cells) else "*"
+        if mark == "*":
+            unhit.append(name)
         print(f"{name:<{width}}{mark} " + "  ".join(f"{f'{h}/{m}':>17}" for h, m in cells))
+    if unhit:
+        print(f"no hit on any workload run: {', '.join(unhit)}", file=sys.stderr)
+        return 1
     return 0
 
 
