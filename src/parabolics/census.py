@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExoticBlocksPresent, InvalidScheme, SearchSpaceTooLarge
 from .geometry import NotFanoCertificate, _certificate, is_fano
@@ -39,6 +40,8 @@ from .phi import (
 from .rootsys import RootSystem, RootSystemType, _check_int, build_root_system, check_levi
 
 BRUTE_FORCE_GUARD = 10 ** 8
+#: the most block tuples a census may project (B6, p=2, M=4 has 531441)
+CENSUS_GUARD = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -81,12 +84,18 @@ def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     The packed kernel folds one node at a time and dedups the partial meets,
     so the work tracks the distinct prefixes rather than the whole
     block-tuple product; intersection is associative, commutative and idempotent.
+    Refuses, before building a catalog, when that product exceeds the guard:
+    a node with k admitted kinds has Standard(0..M) and k-1 kinds at 0..M-1.
     """
     rs = q.system
     levi = check_levi(rs, q.levi)
     nodes = sorted(set(range(1, rs.rank + 1)) - levi)
-    catalogs = [rank_one_catalog(rs, q.p, a, q.max_height) for a in nodes]
-    return _census_meets(rs, q.p, levi, catalogs, q.max_height, q.normalized_only)
+    M = q.max_height
+    tuples = math.prod(M + 1 + (len(_block_kinds(rs, q.p, a)) - 1) * M for a in nodes)
+    if tuples > CENSUS_GUARD:
+        raise SearchSpaceTooLarge(f"{tuples} block tuples exceed the limit {CENSUS_GUARD}")
+    catalogs = [rank_one_catalog(rs, q.p, a, M) for a in nodes]
+    return _census_meets(rs, q.p, levi, catalogs, M, q.normalized_only)
 
 
 def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
@@ -117,8 +126,7 @@ def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
 # Fano census
 
 
-@dataclass(frozen=True)
-class FanoRow:
+class FanoRow(NamedTuple):
     scheme: ParabolicScheme
     fano: bool
     certificate: Optional[NotFanoCertificate]
@@ -158,8 +166,7 @@ def fano_summary(rows: Sequence[FanoRow]) -> Dict[str, int]:
 # Hasse diagram of the containment order
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     schemes: Tuple[ParabolicScheme, ...]
     edges: Tuple[Tuple[int, int], ...]  # (lower index, upper index), covering
 

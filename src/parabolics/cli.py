@@ -64,6 +64,16 @@ def _system(args):
     return build_root_system(RootSystemType.parse(args.type))
 
 
+def _unique_keys(pairs: List[tuple]) -> dict:
+    """json.loads object_pairs_hook: the object, refused if it repeats a key."""
+    data = {}
+    for k, v in pairs:
+        if k in data:
+            raise InvalidScheme(f"scheme JSON repeats the key {k!r}")
+        data[k] = v
+    return data
+
+
 def _load_scheme(args) -> ParabolicScheme:
     path = args.input
     try:
@@ -72,7 +82,7 @@ def _load_scheme(args) -> ParabolicScheme:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise InvalidScheme(f"scheme input is not UTF-8: {exc}") from None
     except RecursionError:

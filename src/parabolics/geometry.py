@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .errors import ExoticBlocksPresent, InvalidScheme, NoSmoothContraction
 from .phi import (
@@ -46,8 +46,7 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """Weight in the root lattice, exact integer coefficients over the
     simple roots."""
 
@@ -144,8 +143,7 @@ def _require_normalized(P: ParabolicScheme) -> None:
         raise InvalidScheme("operation requires a normalized scheme (no contained kernel)")
 
 
-@dataclass(frozen=True)
-class SmoothPart:
+class SmoothPart(NamedTuple):
     """Minimal reduced parabolic containing P, with the complementary
     thickened part as decomposition witness."""
 
@@ -185,8 +183,7 @@ def p_sm(P: ParabolicScheme) -> SmoothPart:
 # Fibration sequences
 
 
-@dataclass(frozen=True)
-class FiberFactor:
+class FiberFactor(NamedTuple):
     """One irreducible factor of a fiber; labels trace each of its simple
     roots back to the node of the original diagram it came from."""
 
@@ -194,8 +191,7 @@ class FiberFactor:
     labels: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FibrationStep:
+class FibrationStep(NamedTuple):
     """One locally trivial contraction: base of Picard rank one, fiber
     product, kernels stripped while normalising the fiber."""
 

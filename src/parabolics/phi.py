@@ -6,10 +6,11 @@ ParabolicScheme stores phi as one immutable vector, `heights`, indexed like
 `rs.positive_roots` (root gamma sits at position `rs.index[gamma]`) and
 holding the sentinel INFINITE exactly on the Levi roots.  Containment of
 schemes is pointwise comparison of the vectors, intersection is pointwise
-minimum; other modules go through this module's operations and never read
-the layout themselves.  The private census kernel repacks block vectors for
-one call into ints of k-byte lanes: first root most significant, each lane's
-top bit a zero guard bit, INFINITE all its other bits, k set by the height bound.
+minimum.  The layout is public, as the README documents it: other modules
+read `heights` and build height vectors directly.  The private census kernel
+repacks block vectors for one call into ints of k-byte lanes: first root most
+significant, each lane's top bit a zero guard bit, INFINITE all its other
+bits, k set by the height bound.
 
 Every scheme is an intersection of rank-one blocks, one anchored at each
 simple root off the Levi.  The block catalog at a simple root alpha:
@@ -279,17 +280,22 @@ class ParabolicScheme:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ParabolicScheme":
         """Parse without coercion: prime, Levi indices, root coefficients and
-        heights must all be JSON integers."""
+        heights must all be JSON integers, and no root may have two keys."""
         try:
             rtype = RootSystemType.parse(data["type"])
             levi = list(data["levi"])
-            phi = {
-                Root(tuple(_check_int(c) for c in json.loads(k))): v
+            items = [
+                (Root(tuple(_check_int(c) for c in json.loads(k))), v)
                 for k, v in data["phi"].items()
-            }
+            ]
             p = data["prime"]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidScheme(f"malformed scheme data: {exc}") from exc
+        phi: Dict[Root, int] = {}
+        for g, v in items:
+            if g in phi:
+                raise InvalidScheme(f"phi gives {g} two heights")
+            phi[g] = v
         return cls(build_root_system(rtype), p, levi, phi)
 
 
@@ -712,8 +718,7 @@ class KernelKind(enum.Enum):
     VERY_SPECIAL_KERNEL = "very_special_kernel"
 
 
-@dataclass(frozen=True)
-class KernelRecord:
+class KernelRecord(NamedTuple):
     """A kernel stripped during normalisation: the m-th Frobenius kernel, or
     the kernel of (very special isogeny) composed with the m-th Frobenius."""
 
@@ -789,8 +794,7 @@ def vsi_pushforward(P: ParabolicScheme) -> ParabolicScheme:
 # Normalisation
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     scheme: ParabolicScheme
     stripped: Tuple[KernelRecord, ...]
 

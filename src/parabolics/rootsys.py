@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     EdgeHypothesisNotSatisfied,
@@ -339,18 +339,17 @@ def _dual_relabel(rtype: RootSystemType) -> Dict[int, int]:
     return {1: 2, 2: 1}  # G2
 
 
-@dataclass(frozen=True)
-class VerySpecialDuality:
+class VerySpecialDuality(NamedTuple):
     """Length-exchanging bijection between a system and its dual."""
 
     source: RootSystem
     target: RootSystem
     simple_map: Tuple[int, ...]  # simple_map[i-1] = image index of alpha_i
-    _forward: Dict[Root, Root]
+    images: Dict[Root, Root]  # the image of every root
 
     def forward(self, gamma: Root) -> Root:
         try:
-            return self._forward[gamma]
+            return self.images[gamma]
         except KeyError:
             raise NotARoot(f"{gamma} is not a root of {self.source.rtype}") from None
 
@@ -395,8 +394,7 @@ def very_special_dual(rs: RootSystem) -> Tuple[RootSystem, VerySpecialDuality]:
 _F4_LONG_BASIS = ((0, 1, 2, 2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 2, 0))
 
 
-@dataclass(frozen=True)
-class LongRootSubsystem:
+class LongRootSubsystem(NamedTuple):
     roots: Tuple[Root, ...]
     basis: Tuple[Root, ...]
     subsystem_type: RootSystemType
@@ -473,8 +471,7 @@ def _incidence_root(rs: RootSystem, I: FrozenSet[int], L: FrozenSet[int]) -> Tup
 # Levi components (sub-diagram classification)
 
 
-@dataclass(frozen=True)
-class LeviComponent:
+class LeviComponent(NamedTuple):
     """One connected component of a sub-diagram, identified as a standard type.
 
     ``index_map[k-1]`` is the ambient simple index realising the component's

@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import pytest
 
+import parabolics.census
 from parabolics import (
     BlockKind,
     CensusQuery,
@@ -31,6 +33,7 @@ from parabolics import (
     schemes_to_jsonl,
     vsi_pullback,
 )
+from parabolics.census import CENSUS_GUARD
 from parabolics.errors import InvalidScheme, SearchSpaceTooLarge
 
 G2 = root_system("G2")
@@ -200,6 +203,40 @@ def test_brute_force_never_reaches_the_census_kernel(monkeypatch):
 def test_oracle_guard():
     with pytest.raises(SearchSpaceTooLarge):
         brute_force_enumerate(q("F4", 2, (), 1))
+
+
+#: the grid on which the census projection is pinned to the catalog sizes
+GUARD_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "F4"]
+
+
+def test_census_guard_projects_the_catalog_product(monkeypatch):
+    # the fold is stubbed: only the guard runs, against a limit at the product
+    # of the catalog sizes, then one below it
+    monkeypatch.setattr(parabolics.census, "_census_meets", lambda *args: ())
+    count = 0
+    for label in GUARD_TYPES:
+        rs = root_system(label)
+        nodes = range(1, rs.rank + 1)
+        levis = [c for r in range(rs.rank + 1) for c in itertools.combinations(nodes, r)]
+        for levi, p, M in itertools.product(levis, (2, 3), range(5)):
+            off = [a for a in nodes if a not in levi]
+            tuples = math.prod(len(rank_one_catalog(rs, p, a, M)) for a in off)
+            monkeypatch.setattr(parabolics.census, "CENSUS_GUARD", tuples)
+            assert enumerate_parabolics(q(label, p, levi, M)) == ()
+            monkeypatch.setattr(parabolics.census, "CENSUS_GUARD", tuples - 1)
+            with pytest.raises(SearchSpaceTooLarge):
+                enumerate_parabolics(q(label, p, levi, M))
+            count += 1
+    assert count == 540
+
+
+def test_census_guard_admits_b6_and_refuses_in_every_census(monkeypatch):
+    monkeypatch.setattr(parabolics.census, "_census_meets", lambda *args: ())
+    assert enumerate_parabolics(q("B6", 2, (), 4)) == ()  # 531441 block tuples
+    over = q("A1", 2, (), CENSUS_GUARD)  # CENSUS_GUARD + 1 blocks at a1
+    for census in (enumerate_parabolics, fano_census, hasse_diagram):
+        with pytest.raises(SearchSpaceTooLarge, match=f"exceed the limit {CENSUS_GUARD}"):
+            census(over)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,35 @@ def test_blocks_anchor_outside_the_rank_names_the_anchor():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "InvalidScheme: anchor a3 outside 1..2\n"
+
+
+@pytest.mark.parametrize("command,tuples", [
+    (["census", "--type", "A2", "--prime", "2", "--max-height", "100000000"],
+     100000001 ** 2),
+    (["census", "--type", "A1", "--prime", "2", "--max-height", "3000000", "--format", "csv"],
+     3000001),
+    (["fano", "--type", "A1", "--prime", "2", "--max-height", "100000000"], 100000001),
+], ids=["census-a2", "census-a1-csv", "fano-a1"])
+def test_an_oversized_census_is_refused_before_it_starts(command, tuples, capsys):
+    start = time.perf_counter()
+    code, out = invoke(*command)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"SearchSpaceTooLarge: {tuples} block tuples exceed the limit 1000000\n"
+    )
+
+
+@pytest.mark.parametrize("phi,error", [
+    ('{"[1,0]":1,"[1, 0]":0,"[0,1]":0,"[1,1]":0}', "phi gives a1 two heights"),
+    ('{"[1,0]":1,"[1,0]":0,"[0,1]":0,"[1,1]":0}', "scheme JSON repeats the key '[1,0]'"),
+], ids=["two-spellings", "repeated-key"])
+def test_a_scheme_file_that_gives_a_root_two_heights_is_refused(phi, error, tmp_path, capsys):
+    f = tmp_path / "scheme.json"
+    f.write_text('{"type":"A2","prime":2,"levi":[],"phi":%s}' % phi)
+    code, out = invoke("validate", "--type", "A2", "--prime", "2", "--input", str(f))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"InvalidScheme: {error}\n"
 
 
 def test_format_the_subcommand_does_not_write_is_a_usage_error():

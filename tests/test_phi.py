@@ -148,6 +148,14 @@ def test_from_json_rejects_garbage():
             ParabolicScheme.from_json_dict(data)
 
 
+def test_from_json_refuses_two_keys_for_one_root():
+    # "[1,0]" and "[1, 0]" both spell a1; neither height may silently win
+    data = {"type": "A2", "prime": 2, "levi": [],
+            "phi": {"[1,0]": 1, "[1, 0]": 0, "[0,1]": 0, "[1,1]": 0}}
+    with pytest.raises(InvalidScheme, match="phi gives a1 two heights"):
+        ParabolicScheme.from_json_dict(data)
+
+
 @pytest.mark.parametrize("levi", [[1.9], [1.0], [True], [1, True], ["1"]])
 def test_levi_entries_are_never_coerced(levi):
     # int() would make each of these the Levi {1}, which the phi below fits
