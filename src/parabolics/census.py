@@ -39,8 +39,9 @@ from .phi import (
 )
 from .rootsys import RootSystem, RootSystemType, _check_int, build_root_system, check_levi
 
-BRUTE_FORCE_GUARD = 10 ** 8
-#: the most block tuples a census may project (B6, p=2, M=4 has 531441)
+#: the most candidates the oracle may enumerate, about 80 s at 8 us each
+BRUTE_FORCE_GUARD = 10 ** 7
+#: the most block tuples a census, or blocks a catalog, may project (B6, p=2, M=4 has 531441)
 CENSUS_GUARD = 10 ** 6
 
 
@@ -65,15 +66,16 @@ class CensusQuery:
 def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> List[RankOneBlock]:
     """All catalog blocks at alpha whose top height stays within the bound,
     kind by kind in catalog order, then by m: Standard(0..M), and every other
-    kind admitted at alpha at 0..M-1."""
+    kind admitted at alpha at 0..M-1.  Refuses, before building a block, a
+    catalog longer than the census guard."""
     if _check_int(max_height) < 0:
         raise InvalidScheme("max_height must be >= 0")
     _check_prime(p)
-    blocks = (
-        RankOneBlock(alpha, kind, m)
-        for kind in _block_kinds(rs, p, alpha)
-        for m in range(max_height + 1)
-    )
+    kinds = _block_kinds(rs, p, alpha)
+    size = max_height + 1 + (len(kinds) - 1) * max_height
+    if size > CENSUS_GUARD:
+        raise SearchSpaceTooLarge(f"{size} catalog blocks exceed the limit {CENSUS_GUARD}")
+    blocks = (RankOneBlock(alpha, kind, m) for kind in kinds for m in range(max_height + 1))
     return [b for b in blocks if b.top <= max_height]
 
 
@@ -87,6 +89,11 @@ def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     Refuses, before building a catalog, when that product exceeds the guard:
     a node with k admitted kinds has Standard(0..M) and k-1 kinds at 0..M-1.
     """
+    return _census(q, carry=False)
+
+
+def _census(q: CensusQuery, carry: bool) -> Tuple:
+    """enumerate_parabolics; with `carry`, (scheme, generated blocks) pairs."""
     rs = q.system
     levi = check_levi(rs, q.levi)
     nodes = sorted(set(range(1, rs.rank + 1)) - levi)
@@ -95,7 +102,7 @@ def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     if tuples > CENSUS_GUARD:
         raise SearchSpaceTooLarge(f"{tuples} block tuples exceed the limit {CENSUS_GUARD}")
     catalogs = [rank_one_catalog(rs, q.p, a, M) for a in nodes]
-    return _census_meets(rs, q.p, levi, catalogs, M, q.normalized_only)
+    return _census_meets(rs, q.p, levi, catalogs, M, q.normalized_only, carry)
 
 
 def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
@@ -105,9 +112,9 @@ def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     rs = q.system
     levi = check_levi(rs, q.levi)
     domain = _levi_split(rs, levi)[1]
-    if (q.max_height + 2) ** len(domain) > BRUTE_FORCE_GUARD:
+    if (q.max_height + 1) ** len(domain) > BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(
-            f"(M+2)^{len(domain)} exceeds {BRUTE_FORCE_GUARD} candidates"
+            f"(M+1)^{len(domain)} exceeds {BRUTE_FORCE_GUARD} candidates"
         )
     heights: List[Height] = [INFINITE] * len(rs.positive_roots)
     out: List[ParabolicScheme] = []
@@ -136,15 +143,16 @@ def fano_census(q: CensusQuery) -> Tuple[FanoRow, ...]:
     """Fano status for every enumerated scheme; the incidence certificate is
     attached where its machinery applies (normalized, quasi-standard, Picard
     rank at least two).  The gate is decided once per query: the query's Levi
-    fixes the Picard rank, and normalized_only rows are normalized by construction."""
+    fixes the Picard rank, and normalized_only rows are normalized by construction.
+    Certified rows come from the census with their generated blocks."""
+    if q.rtype.rank - len(check_levi(q.system, q.levi)) < 2:
+        return tuple(FanoRow(P, is_fano(P), None) for P in enumerate_parabolics(q))
     rows: List[FanoRow] = []
-    schemes = enumerate_parabolics(q)  # checks the Levi subset; its size fixes the Picard rank
-    certify = q.rtype.rank - len(frozenset(q.levi)) >= 2
-    for P in schemes:
+    for P, blocks in _census(q, carry=True):
         cert: Optional[NotFanoCertificate] = None
-        if certify and (q.normalized_only or is_normalized(P)):
+        if q.normalized_only or is_normalized(P):
             try:
-                cert = _certificate(P)
+                cert = _certificate(P, blocks)
             except ExoticBlocksPresent:
                 cert = None
         rows.append(FanoRow(P, is_fano(P), cert))

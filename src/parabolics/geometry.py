@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import ExoticBlocksPresent, InvalidScheme, NoSmoothContraction
 from .phi import (
@@ -132,8 +132,8 @@ def _smooth(blocks: Dict[int, RankOneBlock]) -> FrozenSet[int]:
     return frozenset(a for a, b in blocks.items() if b.top == 0)  # only Standard(0)
 
 
-def _require_quasi_standard(blocks: Dict[int, RankOneBlock]) -> None:
-    exotic = [b for b in blocks.values() if b.kind in (BlockKind.EXOTIC_H, BlockKind.EXOTIC_L)]
+def _require_quasi_standard(blocks: Iterable[RankOneBlock]) -> None:
+    exotic = [b for b in blocks if b.kind in (BlockKind.EXOTIC_H, BlockKind.EXOTIC_L)]
     if exotic:
         raise ExoticBlocksPresent(f"exotic generated blocks {[str(b) for b in exotic]}")
 
@@ -162,7 +162,7 @@ def p_sm(P: ParabolicScheme) -> SmoothPart:
     """
     _require_normalized(P)
     blocks = _generated_blocks(P)
-    _require_quasi_standard(blocks)
+    _require_quasi_standard(blocks.values())
     smooth = _smooth(blocks)
     rough = [a for a in blocks if a not in smooth]
     reduced_levi = frozenset(range(1, P.rs.rank + 1)) - smooth
@@ -351,20 +351,23 @@ def not_fano_certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
     _require_normalized(P)
     if picard_rank(P) < 2:
         raise InvalidScheme("certificate machinery needs Picard rank >= 2")
-    return _certificate(P)
+    return _certificate(P, _generated_blocks(P).values())
 
 
-def _certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
+def _certificate(
+    P: ParabolicScheme, blocks: Iterable[RankOneBlock]
+) -> Optional[NotFanoCertificate]:
     """The body of not_fano_certificate, for a scheme its caller has checked
-    to be normalized and of Picard rank at least two."""
-    blocks = _generated_blocks(P)
+    to be normalized and of Picard rank at least two, and its generated blocks.
+    A cut passes when p**gap > H, tested on integers as p**gap * den > num."""
+    blocks = sorted(blocks, key=lambda b: (_chain_key(b), b.alpha))
     _require_quasi_standard(blocks)
-    ordered = sorted(blocks.values(), key=lambda b: (_chain_key(b), b.alpha))
     H = incidence_threshold(P.rs)
-    for i in range(1, len(ordered)):
-        gap = ordered[i].m - ordered[i - 1].top
-        if gap >= 1 and P.p ** gap > H:
-            left = frozenset(b.alpha for b in ordered[:i])
+    num, den = H.as_integer_ratio()
+    for i in range(1, len(blocks)):
+        gap = blocks[i].m - blocks[i - 1].top
+        if gap >= 1 and P.p ** gap * den > num:
+            left = frozenset(b.alpha for b in blocks[:i])
             l, delta = _incidence_root(P.rs, P.levi, left)
             value = sum(map(mul, _weights(P), _columns(P.rs)[0][l - 1]))
             return NotFanoCertificate(

@@ -33,11 +33,16 @@ Standard(1) < X(1) < ..., for the anchored candidates and the certificate.
 `_chain` is the one cache of the anchored candidates, per system, prime,
 node and anchor height.  Per Levi subset, `_levi_split` caches the roots off
 it, their positions and the window of each node off it, and `_row_format`
-the templates of every writer, so a row is one `%`.
+the templates of every writer (the text one, `_text_format`, on first use),
+so a row is one `%`.
 
 Reconstruction recovers the minimal anchored block at each node and
 re-intersects; a height function is valid exactly when this is the identity,
 which `is_valid` tests, without the meet, as a cover by the generated blocks.
+A census meet's generated blocks are its chain-least generating tuple: at
+each node the generated block is the least, in chain order, of the catalog
+blocks there that contain the meet, so the census can carry them out of its
+fold (`_census_meets` with `carry`) instead of deriving them again.
 """
 
 from __future__ import annotations
@@ -269,7 +274,7 @@ class ParabolicScheme:
 
     def to_text(self) -> str:
         """A header line, then a `  phi(<root>) = <height>` line per root off the Levi."""
-        template, get = _row_format(self.rs, self.levi).text
+        template, get = _text_format(self.rs, self.levi)
         return template % (self.p, *get(self.heights))
 
     def to_compact(self) -> str:
@@ -319,9 +324,9 @@ class _RowFormat(NamedTuple):
     """Per format of one (system, Levi subset): a %d template, the getter of its heights."""
 
     json: Tuple[str, Callable]  # the heights in sort_keys order, then the prime
-    text: Tuple[str, Callable]  # the prime, then the finite heights in root order
     compact: Tuple[str, Callable]  # "%d;...;%d", the finite heights in root order
     csv: str  # the CSV columns before phi, "<type>,%d,<levi>,", a %d for the prime
+    finite: Tuple[int, ...]  # the positions of the roots off the Levi
 
 
 @lru_cache(maxsize=None)
@@ -330,17 +335,25 @@ def _row_format(rs: RootSystem, levi: FrozenSet[int]) -> _RowFormat:
     def pick(ix):  # an exact-size tuple; itemgetter returns one for two or more indices
         return itemgetter(*ix) if len(ix) > 1 else lambda h: tuple([h[i] for i in ix])
 
-    keys, labels = _json_keys(rs), _text_labels(rs)
+    keys = _json_keys(rs)
     blank = tuple(INFINITE if g.support() <= levi else "%d" for g in rs.positive_roots)
     finite = tuple(i for i, v in enumerate(blank) if v is not INFINITE)
     json_row = _canonical(ParabolicScheme._of(rs, "%d", levi, blank).to_json_dict())
-    text_rows, get = "".join(map(labels.__getitem__, finite)), pick(finite)
     return _RowFormat(
         (json_row.replace('"%d"', "%d"), pick(sorted(finite, key=keys.__getitem__))),
-        (f"type {rs.rtype}  prime %d  levi {sorted(levi)}{text_rows}", get),
-        (";".join(["%d"] * len(finite)), get),
+        (";".join(["%d"] * len(finite)), pick(finite)),
         f"{rs.rtype},%d,{' '.join(map(str, sorted(levi)))},",
+        finite,
     )
+
+
+@lru_cache(maxsize=None)
+def _text_format(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[str, Callable]:
+    """The text row format of (rs, levi), as a _RowFormat entry; apart from
+    _row_format, so that it is built only where a scheme prints as text."""
+    rows = _row_format(rs, levi)
+    lines = "".join(map(_text_labels(rs).__getitem__, rows.finite))
+    return f"type {rs.rtype}  prime %d  levi {sorted(levi)}{lines}", rows.compact[1]
 
 
 def reduced_scheme(rs: RootSystem, p: int, levi: Iterable[int] = ()) -> ParabolicScheme:
@@ -550,26 +563,48 @@ def _packed_block(rs: RootSystem, p: int, block: RankOneBlock, k: int) -> int:
 
 def _census_meets(
     rs: RootSystem, p: int, levi: FrozenSet[int], catalogs: Sequence[Sequence[RankOneBlock]],
-    max_height: int, normalized_only: bool,
-) -> Tuple[ParabolicScheme, ...]:
+    max_height: int, normalized_only: bool, carry: bool = False,
+) -> Tuple:
     """Distinct meets of one block from each catalog, sorted by heights.  The
-    catalogs cover the nodes off `levi` with blocks no higher than max_height."""
+    catalogs cover the nodes off `levi` with blocks no higher than max_height.
+
+    With `carry`, each row is a (scheme, blocks) pair: the blocks are the
+    generated ones, the first tuple to reach the meet when each catalog is
+    taken in chain order (catalog order breaks ties) and the partial meets in
+    the order they were first reached, i.e. the lexicographically least."""
     k = ((max_height + 1).bit_length() + 8) // 8
     H, short = _lane_masks(rs, k)
     g, low = 8 * k - 1, H >> 8 * k - 1
     found, inf = {H - low}, (1 << g) - 1  # the full group; the INFINITE lane
-    for packed in ([_packed_block(rs, p, b, k) for b in blocks] for blocks in catalogs):
-        # lane-wise min: the guard bit of (a | H) - b survives where a >= b
-        found = {a ^ (a ^ b) & (((a | H) - b & H) >> g) * inf for a in found for b in packed}
-    if normalized_only and catalogs:  # no catalogs: the full group, normalized
-        # a zero lane; a short one under the edge (the top short root is never Levi)
-        sel = short if edge_hypothesis(rs, p) else H
-        found = {x for x in found if (x | H) - low & sel != sel}
+    # normalized: a zero lane; a short one under the edge (the top short root is never Levi)
+    sel = normalized_only and (short if edge_hypothesis(rs, p) else H)
+    # lane-wise min: the guard bit of (a | H) - b survives where a >= b
+    if carry:
+        tuples: Dict[int, Tuple[RankOneBlock, ...]] = {H - low: ()}
+        for i, blocks in enumerate(catalogs, 1):
+            chain = [(_packed_block(rs, p, b, k), b) for b in sorted(blocks, key=_chain_key)]
+            meets: Dict[int, Tuple[RankOneBlock, ...]] = {}
+            # the normalized filter, at the last node, where the meets are whole
+            drop = normalized_only and i == len(catalogs)
+            for a, t in tuples.items():
+                for b, block in chain:
+                    x = a ^ (a ^ b) & (((a | H) - b & H) >> g) * inf
+                    if x not in meets and not (drop and (x | H) - low & sel == sel):
+                        meets[x] = (*t, block)
+            tuples = meets
+        found = tuples.keys()
+    else:
+        for packed in ([_packed_block(rs, p, b, k) for b in blocks] for blocks in catalogs):
+            found = {a ^ (a ^ b) & (((a | H) - b & H) >> g) * inf for a in found for b in packed}
+        if normalized_only and catalogs:  # no catalogs: the full group, normalized
+            found = {x for x in found if (x | H) - low & sel != sel}
     n, codes = len(rs.short) * k, {inf: INFINITE}  # codes.get(v, v) decodes a lane
-    rows = (x.to_bytes(n, "big") for x in sorted(found))
+    keys = sorted(found)
+    rows = (x.to_bytes(n, "big") for x in keys)
     if k > 1:
         rows = ([int.from_bytes(b[i:i + k], "big") for i in range(0, n, k)] for b in rows)
-    return tuple(ParabolicScheme._of(rs, p, levi, (*map(codes.get, c, c),)) for c in rows)
+    schemes = tuple(ParabolicScheme._of(rs, p, levi, (*map(codes.get, c, c),)) for c in rows)
+    return tuple(zip(schemes, map(tuples.__getitem__, keys))) if carry else schemes
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,16 @@ def test_brute_force_never_reaches_the_census_kernel(monkeypatch):
 
 def test_oracle_guard():
     with pytest.raises(SearchSpaceTooLarge):
-        brute_force_enumerate(q("F4", 2, (), 1))
+        brute_force_enumerate(q("F4", 2, (), 1))  # 2**24 candidates
+
+
+def test_oracle_guard_counts_the_candidates_it_enumerates(monkeypatch):
+    query = q("B2", 2, (), 2)  # (M+1)**4 = 81 candidates
+    monkeypatch.setattr(parabolics.census, "BRUTE_FORCE_GUARD", 81)
+    assert brute_force_enumerate(query) == enumerate_parabolics(query)
+    monkeypatch.setattr(parabolics.census, "BRUTE_FORCE_GUARD", 80)
+    with pytest.raises(SearchSpaceTooLarge, match=r"^\(M\+1\)\^4 exceeds 80 candidates$"):
+        brute_force_enumerate(query)
 
 
 #: the grid on which the census projection is pinned to the catalog sizes
@@ -221,11 +230,12 @@ def test_census_guard_projects_the_catalog_product(monkeypatch):
         for levi, p, M in itertools.product(levis, (2, 3), range(5)):
             off = [a for a in nodes if a not in levi]
             tuples = math.prod(len(rank_one_catalog(rs, p, a, M)) for a in off)
-            monkeypatch.setattr(parabolics.census, "CENSUS_GUARD", tuples)
-            assert enumerate_parabolics(q(label, p, levi, M)) == ()
-            monkeypatch.setattr(parabolics.census, "CENSUS_GUARD", tuples - 1)
-            with pytest.raises(SearchSpaceTooLarge):
-                enumerate_parabolics(q(label, p, levi, M))
+            with monkeypatch.context() as m:  # the catalogs above are sized under the real guard
+                m.setattr(parabolics.census, "CENSUS_GUARD", tuples)
+                assert enumerate_parabolics(q(label, p, levi, M)) == ()
+                m.setattr(parabolics.census, "CENSUS_GUARD", tuples - 1)
+                with pytest.raises(SearchSpaceTooLarge):
+                    enumerate_parabolics(q(label, p, levi, M))
             count += 1
     assert count == 540
 

@@ -305,6 +305,16 @@ def test_an_oversized_census_is_refused_before_it_starts(command, tuples, capsys
     )
 
 
+def test_an_oversized_block_catalog_is_refused_before_it_starts(capsys):
+    start = time.perf_counter()
+    code, out = invoke("blocks", "--type", "A2", "--prime", "2", "--max-height", "100000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "SearchSpaceTooLarge: 100000001 catalog blocks exceed the limit 1000000\n"
+    )
+
+
 @pytest.mark.parametrize("phi,error", [
     ('{"[1,0]":1,"[1, 0]":0,"[0,1]":0,"[1,1]":0}', "phi gives a1 two heights"),
     ('{"[1,0]":1,"[1,0]":0,"[0,1]":0,"[1,1]":0}', "scheme JSON repeats the key '[1,0]'"),

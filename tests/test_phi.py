@@ -845,14 +845,14 @@ def block_schemes(draw, p=2):
     return P
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=60, derandomize=True, database=None)
 @given(block_schemes())
 def test_block_intersections_are_valid(P):
     assert is_valid(P)
     assert enne_check(P) == []
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=60, derandomize=True, database=None)
 @given(block_schemes(), block_schemes())
 def test_validity_closed_under_min(P, Q):
     if P.rs != Q.rs:
@@ -860,7 +860,7 @@ def test_validity_closed_under_min(P, Q):
     assert is_valid(intersect(P, Q))
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=60, derandomize=True, database=None)
 @given(block_schemes(), block_schemes(), block_schemes())
 def test_contains_transitive(P, Q, R):
     if not (P.rs == Q.rs == R.rs):
@@ -869,7 +869,7 @@ def test_contains_transitive(P, Q, R):
         assert contains(P, R)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=40, derandomize=True, database=None)
 @given(block_schemes())
 def test_serialisation_round_trip(P):
     blob = P.canonical_json()
