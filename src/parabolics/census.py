@@ -14,7 +14,6 @@ constructor's checks; the query's prime, bound and Levi are checked once.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,8 +40,11 @@ from .rootsys import RootSystem, RootSystemType, _check_int, build_root_system, 
 
 #: the most candidates the oracle may enumerate, about 80 s at 8 us each
 BRUTE_FORCE_GUARD = 10 ** 7
-#: the most block tuples a census, or blocks a catalog, may project (B6, p=2, M=4 has 531441)
+#: the most block tuples a census, or catalog blocks a command, may project (B6 p=2 M=4: 531441)
 CENSUS_GUARD = 10 ** 6
+#: the most bytes a Hasse diagram's two containment bitsets may project,
+#: 2*n*ceil(n/8) for n schemes: it admits n <= 32768 (B6, p=2, M=4 has 63125)
+HASSE_GUARD = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,31 @@ class CensusQuery:
         _check_prime(self.p)
         if _check_int(self.max_height) < 0:
             raise InvalidScheme("max_height must be >= 0")
+        object.__setattr__(self, "levi", check_levi(self.system, self.levi))
 
     @property
     def system(self) -> RootSystem:
         return build_root_system(self.rtype)
+
+
+def _catalog_size(rs: RootSystem, p: int, alpha: int, max_height: int) -> int:
+    """The length of rank_one_catalog(rs, p, alpha, max_height), from its
+    checked arguments: a node with k admitted kinds has Standard(0..M) and
+    k-1 kinds at 0..M-1."""
+    if _check_int(max_height) < 0:
+        raise InvalidScheme("max_height must be >= 0")
+    _check_prime(p)
+    return max_height + 1 + (len(_block_kinds(rs, p, alpha)) - 1) * max_height
+
+
+def _check_catalogs(rs: RootSystem, p: int, alphas: Iterable[int], max_height: int) -> None:
+    """Refuse catalogs at alphas that hold more blocks in all than the census
+    guard, at the first catalog that crosses it, naming the count up to there."""
+    size = 0
+    for a in alphas:
+        size += _catalog_size(rs, p, a, max_height)
+        if size > CENSUS_GUARD:
+            raise SearchSpaceTooLarge(f"{size} catalog blocks exceed the limit {CENSUS_GUARD}")
 
 
 def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> List[RankOneBlock]:
@@ -68,14 +91,9 @@ def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> Lis
     kind by kind in catalog order, then by m: Standard(0..M), and every other
     kind admitted at alpha at 0..M-1.  Refuses, before building a block, a
     catalog longer than the census guard."""
-    if _check_int(max_height) < 0:
-        raise InvalidScheme("max_height must be >= 0")
-    _check_prime(p)
-    kinds = _block_kinds(rs, p, alpha)
-    size = max_height + 1 + (len(kinds) - 1) * max_height
-    if size > CENSUS_GUARD:
-        raise SearchSpaceTooLarge(f"{size} catalog blocks exceed the limit {CENSUS_GUARD}")
-    blocks = (RankOneBlock(alpha, kind, m) for kind in kinds for m in range(max_height + 1))
+    _check_catalogs(rs, p, (alpha,), max_height)
+    blocks = (RankOneBlock(alpha, kind, m)
+              for kind in _block_kinds(rs, p, alpha) for m in range(max_height + 1))
     return [b for b in blocks if b.top <= max_height]
 
 
@@ -86,31 +104,27 @@ def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     The packed kernel folds one node at a time and dedups the partial meets,
     so the work tracks the distinct prefixes rather than the whole
     block-tuple product; intersection is associative, commutative and idempotent.
-    Refuses, before building a catalog, when that product exceeds the guard:
-    a node with k admitted kinds has Standard(0..M) and k-1 kinds at 0..M-1.
+    Refuses, before building a catalog, when that product exceeds the guard.
     """
     return _census(q, carry=False)
 
 
 def _census(q: CensusQuery, carry: bool) -> Tuple:
     """enumerate_parabolics; with `carry`, (scheme, generated blocks) pairs."""
-    rs = q.system
-    levi = check_levi(rs, q.levi)
-    nodes = sorted(set(range(1, rs.rank + 1)) - levi)
-    M = q.max_height
-    tuples = math.prod(M + 1 + (len(_block_kinds(rs, q.p, a)) - 1) * M for a in nodes)
+    rs, M = q.system, q.max_height
+    nodes = sorted(set(range(1, rs.rank + 1)) - q.levi)
+    tuples = math.prod(_catalog_size(rs, q.p, a, M) for a in nodes)
     if tuples > CENSUS_GUARD:
         raise SearchSpaceTooLarge(f"{tuples} block tuples exceed the limit {CENSUS_GUARD}")
     catalogs = [rank_one_catalog(rs, q.p, a, M) for a in nodes]
-    return _census_meets(rs, q.p, levi, catalogs, M, q.normalized_only, carry)
+    return _census_meets(rs, q.p, q.levi, catalogs, M, q.normalized_only, carry)
 
 
 def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     """Independent oracle: every height function up to the bound that is a
     reconstruction fixpoint.  Refuses when the candidate count exceeds the
     guard."""
-    rs = q.system
-    levi = check_levi(rs, q.levi)
+    rs, levi = q.system, q.levi
     domain = _levi_split(rs, levi)[1]
     if (q.max_height + 1) ** len(domain) > BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(
@@ -144,13 +158,12 @@ def fano_census(q: CensusQuery) -> Tuple[FanoRow, ...]:
     attached where its machinery applies (normalized, quasi-standard, Picard
     rank at least two).  The gate is decided once per query: the query's Levi
     fixes the Picard rank, and normalized_only rows are normalized by construction.
-    Certified rows come from the census with their generated blocks."""
-    if q.rtype.rank - len(check_levi(q.system, q.levi)) < 2:
-        return tuple(FanoRow(P, is_fano(P), None) for P in enumerate_parabolics(q))
+    Rows come from the census with their generated blocks."""
+    certify = q.rtype.rank - len(q.levi) >= 2
     rows: List[FanoRow] = []
     for P, blocks in _census(q, carry=True):
         cert: Optional[NotFanoCertificate] = None
-        if q.normalized_only or is_normalized(P):
+        if certify and (q.normalized_only or is_normalized(P)):
             try:
                 cert = _certificate(P, blocks)
             except ExoticBlocksPresent:
@@ -182,8 +195,15 @@ class HasseDiagram(NamedTuple):
 def hasse_diagram(q: CensusQuery) -> HasseDiagram:
     """Covering pairs (i, j) of the containment order, in increasing order:
     scheme j contains scheme i (strictly, as the schemes are distinct) and
-    no scheme lies between, i.e. up[i] & down[j] is empty."""
+    no scheme lies between, i.e. up[i] & down[j] is empty.  Refuses, before
+    building them, bitsets larger than the Hasse guard."""
     schemes = enumerate_parabolics(q)
+    n = len(schemes)
+    size = 2 * n * -(-n // 8)  # up and down: n bitsets of n bits each
+    if size > HASSE_GUARD:
+        raise SearchSpaceTooLarge(
+            f"{size} bytes of Hasse bitsets for {n} schemes exceed the limit {HASSE_GUARD}"
+        )
     up, down = _containment_bitsets(schemes)
     edges = []
     for i, above in enumerate(up):
@@ -200,6 +220,7 @@ def hasse_diagram(q: CensusQuery) -> HasseDiagram:
 
 
 def phi_hash(P: ParabolicScheme) -> str:
+    import hashlib  # only here, so importing the package does not load it
     return hashlib.sha256(P.canonical_json().encode()).hexdigest()[:12]
 
 

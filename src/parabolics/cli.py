@@ -16,6 +16,7 @@ from typing import List, Optional
 from . import __version__, CATALOG_VERSION
 from .census import (
     CensusQuery,
+    _check_catalogs,
     enumerate_parabolics,
     fano_census,
     fano_summary,
@@ -138,6 +139,7 @@ def _cmd_constants(args, out) -> int:
 def _cmd_blocks(args, out) -> int:
     rs = _system(args)
     alphas = [args.alpha] if args.alpha is not None else range(1, rs.rank + 1)
+    _check_catalogs(rs, args.prime, alphas, args.max_height)
     records = []
     for a in alphas:
         for b in rank_one_catalog(rs, args.prime, a, args.max_height):

@@ -313,7 +313,11 @@ def _check_int(v: object) -> int:
 
 
 def check_levi(rs: RootSystem, levi: Iterable[int]) -> FrozenSet[int]:
-    I = frozenset([_check_int(i) for i in levi])
+    try:
+        indices = iter(levi)
+    except TypeError:
+        raise InvalidScheme(f"Levi subset {levi!r} is not a collection of simple indices") from None
+    I = frozenset([_check_int(i) for i in indices])
     if not I <= set(range(1, rs.rank + 1)):
         raise InvalidScheme(f"Levi subset {sorted(I)} outside 1..{rs.rank}")
     return I

@@ -35,6 +35,7 @@ from parabolics import (
 )
 from parabolics.census import CENSUS_GUARD
 from parabolics.errors import InvalidScheme, SearchSpaceTooLarge
+from parabolics.rootsys import check_levi
 
 G2 = root_system("G2")
 B2 = root_system("B2")
@@ -249,6 +250,41 @@ def test_census_guard_admits_b6_and_refuses_in_every_census(monkeypatch):
             census(over)
 
 
+def test_catalog_size_is_the_catalog_length():
+    for label in GUARD_TYPES:
+        rs = root_system(label)
+        for a, p, M in itertools.product(range(1, rs.rank + 1), (2, 3), range(5)):
+            assert parabolics.census._catalog_size(rs, p, a, M) == \
+                len(rank_one_catalog(rs, p, a, M))
+
+
+@pytest.mark.parametrize("levi", [5, None])
+def test_a_levi_subset_that_is_not_iterable_is_refused(levi):
+    message = f"^Levi subset {levi} is not a collection of simple indices$"
+    with pytest.raises(InvalidScheme, match=message):
+        check_levi(B2, levi)
+    with pytest.raises(InvalidScheme, match=message):
+        CensusQuery(RootSystemType.parse("B2"), 2, levi, 1)
+
+
+def test_the_query_checks_its_levi_subset_after_prime_and_bound():
+    B2_TYPE = RootSystemType.parse("B2")
+    with pytest.raises(InvalidScheme, match="^characteristic 4 is not prime$"):
+        CensusQuery(B2_TYPE, 4, 5, 1)
+    with pytest.raises(InvalidScheme, match="^max_height must be >= 0$"):
+        CensusQuery(B2_TYPE, 2, [3], -1)
+    with pytest.raises(InvalidScheme, match=r"^Levi subset \[3\] outside 1..2$"):
+        CensusQuery(B2_TYPE, 2, [3], 1)
+
+
+def test_a_query_stores_its_checked_levi_subset():
+    listed = CensusQuery(RootSystemType.parse("B2"), 2, [1], 1)
+    assert listed.levi == frozenset({1}) and type(listed.levi) is frozenset
+    assert listed == q("B2", 2, (1,), 1)
+    assert hash(listed) == hash(q("B2", 2, (1,), 1))
+    assert enumerate_parabolics(listed) == enumerate_parabolics(q("B2", 2, (1,), 1))
+
+
 # ---------------------------------------------------------------------------
 # duality consistency on censuses
 
@@ -341,6 +377,25 @@ def test_hasse_g2_diamond():
 def test_hasse_m0_single_node():
     d = hasse_diagram(q("B3", 2, (1, 2), 0))
     assert len(d.schemes) == 1 and d.edges == ()
+
+
+def test_hasse_guard_projects_the_bitset_bytes(monkeypatch):
+    # the real guard admits n <= 32768 schemes, and so B4, p=2, M=4 (1825)
+    assert 2 * 32768 * 4096 <= parabolics.census.HASSE_GUARD < 2 * 32769 * 4097
+    query = q("B2", 2, (), 2)
+    n = len(enumerate_parabolics(query))
+    size = 2 * n * math.ceil(n / 8)
+    monkeypatch.setattr(parabolics.census, "HASSE_GUARD", size)
+    assert len(hasse_diagram(query).schemes) == n
+    monkeypatch.setattr(parabolics.census, "HASSE_GUARD", size - 1)
+
+    def unbuilt(schemes):
+        raise AssertionError("the bitsets were built")
+
+    monkeypatch.setattr(parabolics.census, "_containment_bitsets", unbuilt)
+    message = f"^{size} bytes of Hasse bitsets for {n} schemes exceed the limit {size - 1}$"
+    with pytest.raises(SearchSpaceTooLarge, match=message):
+        hasse_diagram(query)
 
 
 def _pairwise_covers(schemes):

@@ -315,6 +315,38 @@ def test_an_oversized_block_catalog_is_refused_before_it_starts(capsys):
     )
 
 
+def test_blocks_bounds_the_command_not_each_catalog(monkeypatch, capsys):
+    # A2 at p=2, M=2: two catalogs of 3 blocks; each is under a limit of 5, both are not
+    monkeypatch.setattr(parabolics.census, "CENSUS_GUARD", 5)
+    assert invoke("blocks", "--type", "A2", "--prime", "2", "--alpha", "2",
+                  "--max-height", "2")[0] == 0
+    capsys.readouterr()
+    code, out = invoke("blocks", "--type", "A2", "--prime", "2", "--max-height", "2")
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "SearchSpaceTooLarge: 6 catalog blocks exceed the limit 5\n"
+
+
+def test_an_oversized_hasse_diagram_is_refused_with_empty_stdout(monkeypatch, capsys):
+    # B2 at p=2, M=2 on the Borel has 15 schemes: 2*15*2 bytes of bitsets
+    monkeypatch.setattr(parabolics.census, "HASSE_GUARD", 59)
+    code, out = invoke("census", "--type", "B2", "--prime", "2", "--max-height", "2",
+                       "--format", "dot")
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "SearchSpaceTooLarge: 60 bytes of Hasse bitsets for 15 schemes exceed the limit 59\n"
+    )
+
+
+def test_importing_the_cli_does_not_load_hashlib():
+    src = str(Path(parabolics.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, parabolics.cli; print('hashlib' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 @pytest.mark.parametrize("phi,error", [
     ('{"[1,0]":1,"[1, 0]":0,"[0,1]":0,"[1,1]":0}', "phi gives a1 two heights"),
     ('{"[1,0]":1,"[1,0]":0,"[0,1]":0,"[1,1]":0}', "scheme JSON repeats the key '[1,0]'"),
