@@ -1,9 +1,9 @@
 """Exhaustive desk-scale enumeration, oracles, and Fano censuses.
 
-Enumeration folds packed block vectors node by node over the non-Levi nodes,
-keeping the distinct meets; the brute-force oracle instead tries every height
-function up to the bound and keeps the reconstruction fixpoints.  Where the
-guard admits, the two must agree exactly.
+Enumeration folds packed catalogs node by node over the non-Levi nodes,
+keeping each distinct meet with its generated blocks; the brute-force oracle
+instead tries every height function up to the bound and keeps the
+reconstruction fixpoints.  Where the guard admits, the two must agree exactly.
 
 The oracle is independent of the fold: it never calls the packed kernel or
 the block catalogs, only `is_valid` and `is_normalized`.  Its candidates
@@ -26,7 +26,8 @@ from .phi import (
     Height,
     ParabolicScheme,
     RankOneBlock,
-    _block_kinds,
+    _catalog,
+    _catalog_size,
     _census_meets,
     _check_prime,
     _containment_bitsets,
@@ -66,19 +67,12 @@ class CensusQuery:
         return build_root_system(self.rtype)
 
 
-def _catalog_size(rs: RootSystem, p: int, alpha: int, max_height: int) -> int:
-    """The length of rank_one_catalog(rs, p, alpha, max_height), from its
-    checked arguments: a node with k admitted kinds has Standard(0..M) and
-    k-1 kinds at 0..M-1."""
+def _check_catalogs(rs: RootSystem, p: int, alphas: Iterable[int], max_height: int) -> None:
+    """Check the catalogs' bound and prime, then refuse catalogs at alphas over
+    the census guard in all, at the first that crosses it, naming the count."""
     if _check_int(max_height) < 0:
         raise InvalidScheme("max_height must be >= 0")
     _check_prime(p)
-    return max_height + 1 + (len(_block_kinds(rs, p, alpha)) - 1) * max_height
-
-
-def _check_catalogs(rs: RootSystem, p: int, alphas: Iterable[int], max_height: int) -> None:
-    """Refuse catalogs at alphas that hold more blocks in all than the census
-    guard, at the first catalog that crosses it, naming the count up to there."""
     size = 0
     for a in alphas:
         size += _catalog_size(rs, p, a, max_height)
@@ -87,14 +81,11 @@ def _check_catalogs(rs: RootSystem, p: int, alphas: Iterable[int], max_height: i
 
 
 def rank_one_catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> List[RankOneBlock]:
-    """All catalog blocks at alpha whose top height stays within the bound,
-    kind by kind in catalog order, then by m: Standard(0..M), and every other
-    kind admitted at alpha at 0..M-1.  Refuses, before building a block, a
-    catalog longer than the census guard."""
+    """All catalog blocks at alpha whose top height stays within the bound, in
+    catalog order: Standard(0..M), then every other kind admitted at alpha at
+    0..M-1.  Refuses, before building a block, a catalog over the census guard."""
     _check_catalogs(rs, p, (alpha,), max_height)
-    blocks = (RankOneBlock(alpha, kind, m)
-              for kind in _block_kinds(rs, p, alpha) for m in range(max_height + 1))
-    return [b for b in blocks if b.top <= max_height]
+    return _catalog(rs, p, alpha, max_height)
 
 
 def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
@@ -104,20 +95,19 @@ def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     The packed kernel folds one node at a time and dedups the partial meets,
     so the work tracks the distinct prefixes rather than the whole
     block-tuple product; intersection is associative, commutative and idempotent.
-    Refuses, before building a catalog, when that product exceeds the guard.
+    Refuses, before packing a catalog, when that product exceeds the guard.
     """
-    return _census(q, carry=False)
+    return _census(q)[0]
 
 
-def _census(q: CensusQuery, carry: bool) -> Tuple:
-    """enumerate_parabolics; with `carry`, (scheme, generated blocks) pairs."""
+def _census(q: CensusQuery) -> Tuple[Tuple[ParabolicScheme, ...], Tuple[Tuple, ...]]:
+    """The query's schemes, and aligned with them their generated blocks."""
     rs, M = q.system, q.max_height
     nodes = sorted(set(range(1, rs.rank + 1)) - q.levi)
     tuples = math.prod(_catalog_size(rs, q.p, a, M) for a in nodes)
     if tuples > CENSUS_GUARD:
         raise SearchSpaceTooLarge(f"{tuples} block tuples exceed the limit {CENSUS_GUARD}")
-    catalogs = [rank_one_catalog(rs, q.p, a, M) for a in nodes]
-    return _census_meets(rs, q.p, q.levi, catalogs, M, q.normalized_only, carry)
+    return _census_meets(rs, q.p, q.levi, nodes, M, q.normalized_only)
 
 
 def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
@@ -161,7 +151,7 @@ def fano_census(q: CensusQuery) -> Tuple[FanoRow, ...]:
     Rows come from the census with their generated blocks."""
     certify = q.rtype.rank - len(q.levi) >= 2
     rows: List[FanoRow] = []
-    for P, blocks in _census(q, carry=True):
+    for P, blocks in zip(*_census(q)):
         cert: Optional[NotFanoCertificate] = None
         if certify and (q.normalized_only or is_normalized(P)):
             try:

@@ -23,7 +23,6 @@ from .census import (
     fano_to_csv,
     hasse_diagram,
     hasse_to_dot,
-    rank_one_catalog,
     schemes_to_csv,
     schemes_to_jsonl,
 )
@@ -38,6 +37,7 @@ from .geometry import (
 from .phi import (
     ParabolicScheme,
     _canonical,
+    _catalog,
     _json_keys,
     block_phi,
     reconstruct,
@@ -142,7 +142,7 @@ def _cmd_blocks(args, out) -> int:
     _check_catalogs(rs, args.prime, alphas, args.max_height)
     records = []
     for a in alphas:
-        for b in rank_one_catalog(rs, args.prime, a, args.max_height):
+        for b in _catalog(rs, args.prime, a, args.max_height):
             P = block_phi(rs, args.prime, b)
             records.append((str(b), P))
     if args.format == "json":

@@ -8,9 +8,9 @@ holding the sentinel INFINITE exactly on the Levi roots.  Containment of
 schemes is pointwise comparison of the vectors, intersection is pointwise
 minimum.  The layout is public, as the README documents it: other modules
 read `heights` and build height vectors directly.  The private census kernel
-repacks block vectors for one call into ints of k-byte lanes: first root most
-significant, each lane's top bit a zero guard bit, INFINITE all its other
-bits, k set by the height bound.
+reads each catalog packed once (`_packed_chain`) into ints of k-byte lanes:
+first root most significant, each lane's top bit a zero guard bit, INFINITE
+all its other bits, k set by the height bound (`_lane_masks`).
 
 Every scheme is an intersection of rank-one blocks, one anchored at each
 simple root off the Levi.  The block catalog at a simple root alpha:
@@ -25,13 +25,15 @@ simple root off the Levi.  The block catalog at a simple root alpha:
       ExoticL(m): a1, a1+a2 -> m+1, 2a1+a2, 3a1+a2, 3a1+2a2 -> m
 
 `_block_kinds` is the one statement of which kinds exist at which node; the
-block check, the census catalog and the anchored candidate chains are
-derived from it and from the block height vectors.  A block's `top` is its
-largest height: m for Standard(m), m+1 for every other kind X(m).  The chain
-key m + top orders blocks along their kernel chain Standard(0) < X(0) <
-Standard(1) < X(1) < ..., for the anchored candidates and the certificate.
-`_chain` is the one cache of the anchored candidates, per system, prime,
-node and anchor height.  Per Levi subset, `_levi_split` caches the roots off
+block check, the catalog and the anchored candidate chains are derived from
+it and from the block height vectors.  A block's `top` is its largest
+height: m for Standard(m), m+1 for every other kind X(m); the catalog at
+bound M (`_catalog`) holds the blocks with top at most M.  The chain key
+m + top orders blocks along their kernel chain Standard(0) < X(0) <
+Standard(1) < X(1) < ..., for the census, the anchored candidates and the
+certificate.  `_chain` caches the anchored candidates, per system, prime,
+node and anchor height, and `_packed_chain` the packed catalogs, per height
+bound.  Per Levi subset, `_levi_split` caches the roots off
 it, their positions and the window of each node off it, and `_row_format`
 the templates of every writer (the text one, `_text_format`, on first use),
 so a row is one `%`.
@@ -41,8 +43,8 @@ re-intersects; a height function is valid exactly when this is the identity,
 which `is_valid` tests, without the meet, as a cover by the generated blocks.
 A census meet's generated blocks are its chain-least generating tuple: at
 each node the generated block is the least, in chain order, of the catalog
-blocks there that contain the meet, so the census can carry them out of its
-fold (`_census_meets` with `carry`) instead of deriving them again.
+blocks there that contain the meet, so every census carries them out of its
+one fold (`_census_meets`) instead of deriving them again.
 """
 
 from __future__ import annotations
@@ -446,6 +448,18 @@ def _block_kinds(rs: RootSystem, p: int, alpha: int) -> Tuple[BlockKind, ...]:
     return tuple(kinds)
 
 
+def _catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> List[RankOneBlock]:
+    """The catalog blocks at alpha whose top stays within max_height, kind by
+    kind in catalog order, then by m; trusts p and max_height."""
+    return [RankOneBlock(alpha, kind, m) for kind in _block_kinds(rs, p, alpha)
+            for m in range(max_height + (kind is BlockKind.STANDARD))]
+
+
+def _catalog_size(rs: RootSystem, p: int, alpha: int, max_height: int) -> int:
+    """len(_catalog(rs, p, alpha, max_height)), without building it."""
+    return len(_block_kinds(rs, p, alpha)) * max_height + 1
+
+
 def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
     _check_prime(p)
     if block.m < 0:
@@ -546,65 +560,60 @@ def _containment_bitsets(schemes: Sequence[ParabolicScheme]) -> Tuple[List[int],
 
 
 @lru_cache(maxsize=None)
-def _lane_masks(rs: RootSystem, k: int) -> Tuple[int, int]:
-    """Guard bits of every k-byte lane, and of the short-root lanes."""
+def _lane_masks(rs: RootSystem, max_height: int) -> Tuple[int, int, int]:
+    """The lane width k in bytes, room for heights up to max_height, INFINITE
+    and a guard bit; the guard bits of every lane, and of the short-root lanes."""
+    k = ((max_height + 1).bit_length() + 8) // 8
     lane = b"\x80".ljust(k, b"\0")
     short = b"".join(lane if s else bytes(k) for s in rs.short)
-    return int.from_bytes(lane * len(rs.short), "big"), int.from_bytes(short, "big")
+    return k, int.from_bytes(lane * len(rs.short), "big"), int.from_bytes(short, "big")
 
 
 @lru_cache(maxsize=None)
-def _packed_block(rs: RootSystem, p: int, block: RankOneBlock, k: int) -> int:
-    _check_block(rs, p, block)
+def _packed_chain(rs: RootSystem, p: int, alpha: int, max_height: int) -> Tuple[Tuple, ...]:
+    """(packed vector, block) of each _catalog block, in chain order (catalog
+    order breaks ties), the vectors in the lanes of _lane_masks(rs, max_height)."""
+    k = _lane_masks(rs, max_height)[0]
     inf = (1 << 8 * k - 1) - 1
-    lanes = ((inf if v is INFINITE else v).to_bytes(k, "big") for v in _block_vector(rs, block)[1])
-    return int.from_bytes(b"".join(lanes), "big")
+    chain = []
+    for b in sorted(_catalog(rs, p, alpha, max_height), key=_chain_key):
+        lanes = ((inf if v is INFINITE else v).to_bytes(k, "big") for v in _block_vector(rs, b)[1])
+        chain.append((int.from_bytes(b"".join(lanes), "big"), b))
+    return tuple(chain)
 
 
-def _census_meets(
-    rs: RootSystem, p: int, levi: FrozenSet[int], catalogs: Sequence[Sequence[RankOneBlock]],
-    max_height: int, normalized_only: bool, carry: bool = False,
-) -> Tuple:
-    """Distinct meets of one block from each catalog, sorted by heights.  The
-    catalogs cover the nodes off `levi` with blocks no higher than max_height.
-
-    With `carry`, each row is a (scheme, blocks) pair: the blocks are the
-    generated ones, the first tuple to reach the meet when each catalog is
-    taken in chain order (catalog order breaks ties) and the partial meets in
-    the order they were first reached, i.e. the lexicographically least."""
-    k = ((max_height + 1).bit_length() + 8) // 8
-    H, short = _lane_masks(rs, k)
+def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], nodes: Sequence[int],
+                  max_height: int, normalized_only: bool) -> Tuple[Tuple, Tuple]:
+    """Distinct meets of one catalog block at each node off `levi` (`nodes`, in
+    order), sorted by heights, and aligned with them their generated blocks: the
+    first tuple to reach a meet, each catalog in chain order and the partial
+    meets in the order first reached, i.e. the lexicographically least."""
+    k, H, short = _lane_masks(rs, max_height)
     g, low = 8 * k - 1, H >> 8 * k - 1
-    found, inf = {H - low}, (1 << g) - 1  # the full group; the INFINITE lane
+    inf = (1 << g) - 1  # the INFINITE lane
     # normalized: a zero lane; a short one under the edge (the top short root is never Levi)
     sel = normalized_only and (short if edge_hypothesis(rs, p) else H)
-    # lane-wise min: the guard bit of (a | H) - b survives where a >= b
-    if carry:
-        tuples: Dict[int, Tuple[RankOneBlock, ...]] = {H - low: ()}
-        for i, blocks in enumerate(catalogs, 1):
-            chain = [(_packed_block(rs, p, b, k), b) for b in sorted(blocks, key=_chain_key)]
-            meets: Dict[int, Tuple[RankOneBlock, ...]] = {}
-            # the normalized filter, at the last node, where the meets are whole
-            drop = normalized_only and i == len(catalogs)
-            for a, t in tuples.items():
-                for b, block in chain:
-                    x = a ^ (a ^ b) & (((a | H) - b & H) >> g) * inf
-                    if x not in meets and not (drop and (x | H) - low & sel == sel):
-                        meets[x] = (*t, block)
-            tuples = meets
-        found = tuples.keys()
-    else:
-        for packed in ([_packed_block(rs, p, b, k) for b in blocks] for blocks in catalogs):
-            found = {a ^ (a ^ b) & (((a | H) - b & H) >> g) * inf for a in found for b in packed}
-        if normalized_only and catalogs:  # no catalogs: the full group, normalized
-            found = {x for x in found if (x | H) - low & sel != sel}
+    tuples: Dict[int, Tuple[RankOneBlock, ...]] = {H - low: ()}  # the full group
+    for i, alpha in enumerate(nodes, 1):
+        chain = _packed_chain(rs, p, alpha, max_height)
+        meets: Dict[int, Tuple[RankOneBlock, ...]] = {}
+        # the normalized filter, at the last node, where the meets are whole
+        drop = sel and i == len(nodes)
+        for a, t in tuples.items():
+            aH = a | H
+            for b, block in chain:
+                # lane-wise min: the guard bit of (a | H) - b survives where a >= b
+                x = a ^ (a ^ b) & ((aH - b & H) >> g) * inf
+                if x not in meets and not (drop and (x | H) - low & sel == sel):
+                    meets[x] = (*t, block)
+        tuples = meets
     n, codes = len(rs.short) * k, {inf: INFINITE}  # codes.get(v, v) decodes a lane
-    keys = sorted(found)
+    keys = sorted(tuples)
     rows = (x.to_bytes(n, "big") for x in keys)
     if k > 1:
         rows = ([int.from_bytes(b[i:i + k], "big") for i in range(0, n, k)] for b in rows)
     schemes = tuple(ParabolicScheme._of(rs, p, levi, (*map(codes.get, c, c),)) for c in rows)
-    return tuple(zip(schemes, map(tuples.__getitem__, keys))) if carry else schemes
+    return schemes, tuple(map(tuples.__getitem__, keys))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 `fano_census` certifies each row from the blocks the census fold kept for
 it: the first block tuple, each catalog in chain order, that reaches the
-row.  Here the carrying census of every query of a grid is checked to list the
-schemes of the plain one, each row's blocks against `_generated_blocks`,
+row.  Here the census of every query of a grid is checked to align one block
+tuple with each scheme, each row's blocks against `_generated_blocks`,
 which derives the generated blocks from the scheme alone, and every
 certified row against `not_fano_certificate`, which does the same.
 """
@@ -43,9 +43,10 @@ def queries(label, p):
 def test_carried_blocks_are_the_generated_blocks(label, p):
     rows = 0
     for q in queries(label, p):
-        carried = _census(q, carry=True)
-        assert tuple(P for P, _ in carried) == enumerate_parabolics(q)
-        for P, blocks in carried:
+        schemes, carried = _census(q)
+        assert schemes == enumerate_parabolics(q)
+        assert len(carried) == len(schemes)
+        for P, blocks in zip(schemes, carried):
             assert blocks == tuple(_generated_blocks(P).values()), P
             rows += 1
     assert rows > 0

@@ -192,8 +192,9 @@ def test_brute_force_never_reaches_the_census_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle reached the census kernel")
 
-    for module, name in [(parabolics.phi, "_census_meets"), (parabolics.phi, "_packed_block"),
-                         (parabolics.phi, "_lane_masks"), (parabolics.census, "_census_meets"),
+    for module, name in [(parabolics.phi, "_census_meets"), (parabolics.phi, "_packed_chain"),
+                         (parabolics.phi, "_catalog"), (parabolics.phi, "_lane_masks"),
+                         (parabolics.census, "_census_meets"), (parabolics.census, "_catalog"),
                          (parabolics.census, "rank_one_catalog")]:
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(AssertionError):
@@ -222,7 +223,7 @@ GUARD_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "F4"]
 def test_census_guard_projects_the_catalog_product(monkeypatch):
     # the fold is stubbed: only the guard runs, against a limit at the product
     # of the catalog sizes, then one below it
-    monkeypatch.setattr(parabolics.census, "_census_meets", lambda *args: ())
+    monkeypatch.setattr(parabolics.census, "_census_meets", lambda *args: ((), ()))
     count = 0
     for label in GUARD_TYPES:
         rs = root_system(label)
@@ -242,7 +243,7 @@ def test_census_guard_projects_the_catalog_product(monkeypatch):
 
 
 def test_census_guard_admits_b6_and_refuses_in_every_census(monkeypatch):
-    monkeypatch.setattr(parabolics.census, "_census_meets", lambda *args: ())
+    monkeypatch.setattr(parabolics.census, "_census_meets", lambda *args: ((), ()))
     assert enumerate_parabolics(q("B6", 2, (), 4)) == ()  # 531441 block tuples
     over = q("A1", 2, (), CENSUS_GUARD)  # CENSUS_GUARD + 1 blocks at a1
     for census in (enumerate_parabolics, fano_census, hasse_diagram):

@@ -6,10 +6,13 @@ the public `block_phi` schemes with public `intersect`, filters with
 packed layout (lane width, guard bits, the zero-lane normalized test).
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parabolics import (
+    INFINITE,
     CensusQuery,
     RootSystemType,
     block_phi,
@@ -18,7 +21,9 @@ from parabolics import (
     intersect,
     is_normalized,
     rank_one_catalog,
+    root_system,
 )
+from parabolics.phi import _block_vector, _catalog_size, _chain_key, _lane_masks, _packed_chain
 
 
 def tuple_fold(q):
@@ -89,3 +94,25 @@ def test_wide_heights_on_one_node():
 def test_kernel_matches_tuple_fold_on_random_queries(label, p, levi, M, normalized):
     rank = int(label[1:])
     check(label, p, {i for i in levi if i <= rank}, M, normalized)
+
+
+@pytest.mark.parametrize("label,p", [("A2", 2), ("B2", 2), ("C3", 2), ("G2", 2), ("G2", 3)])
+def test_packed_chain_is_the_catalog_in_chain_order(label, p):
+    rs = root_system(label)
+    for a, M in itertools.product(range(1, rs.rank + 1), range(4)):
+        chain = _packed_chain(rs, p, a, M)
+        assert [b for _, b in chain] == sorted(rank_one_catalog(rs, p, a, M), key=_chain_key)
+        assert len(chain) == _catalog_size(rs, p, a, M)
+
+
+@pytest.mark.parametrize("M,k", [(126, 1), (127, 2)])
+def test_packed_chain_lanes_decode_to_the_block_vectors(M, k):
+    for label, p in [("B2", 2), ("G2", 2)]:
+        rs = root_system(label)
+        assert _lane_masks(rs, M)[0] == k
+        inf = (1 << 8 * k - 1) - 1  # the all-ones lane below its zero guard bit
+        for a in range(1, rs.rank + 1):
+            for packed, b in _packed_chain(rs, p, a, M):
+                raw = packed.to_bytes(len(rs.positive_roots) * k, "big")
+                lanes = [int.from_bytes(raw[i:i + k], "big") for i in range(0, len(raw), k)]
+                assert tuple(INFINITE if v == inf else v for v in lanes) == _block_vector(rs, b)[1]

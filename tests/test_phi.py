@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,16 +44,19 @@ from parabolics import (
 )
 from parabolics.errors import (
     EdgeHypothesisNotSatisfied,
+    InvalidRootSystem,
     InvalidScheme,
     KernelNotContained,
     MismatchedSchemes,
 )
+from parabolics.geometry import NotFanoCertificate
 from parabolics.phi import (
     _block_kinds,
     _canonical,
     _containment_bitsets,
     _enne_triples,
     _generated_blocks,
+    _is_prime,
     height_ge,
     height_min,
 )
@@ -88,6 +92,21 @@ def test_scheme_requires_exact_domain():
         with pytest.raises(InvalidScheme):
             scheme(A2, p, set(), phi)  # p not prime, or past 2**64
     assert scheme(A2, 2 ** 61 - 1, set(), phi).p == 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("n,prime", [
+    (3215031751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    (3825123056546413051, False),  # a strong pseudoprime to every base 2..23
+    (41 ** 2, False),  # n - 1 = 2**4 * 105: refused after the squarings
+    (65537, True), (998244353, True), (2 ** 64 - 59, True),  # n - 1 = 2**s * d, s >= 2
+])
+def test_miller_rabin_refuses_strong_pseudoprimes_and_squares_for_large_s(n, prime):
+    assert _is_prime(n) is prime
+    if prime:
+        assert CensusQuery(A2.rtype, n, frozenset(), 1).p == n
+    else:
+        with pytest.raises(InvalidScheme, match=f"^characteristic {n} is not prime$"):
+            CensusQuery(A2.rtype, n, frozenset(), 1)
 
 
 def test_height_infinite_on_levi_roots():
@@ -783,6 +802,32 @@ UNCOERCED = {
     "float root coefficient": lambda: Root.of(1.9, 0),
     "bool root coefficient": lambda: Root.of(True, 0),
 }
+
+
+#: refusals each named by its class and exact message
+NAMED_REFUSALS = {
+    "negative catalog bound": (
+        lambda: rank_one_catalog(B2, 2, 1, -1), InvalidScheme, "max_height must be >= 0"),
+    "finite height on a Levi root": (
+        lambda: scheme(B2, 2, {2}, {(1, 0): 1, (1, 1): 0, (1, 2): 0}).finite_height(Root.of(0, 1)),
+        InvalidScheme, "a2 is a Levi root of [2]"),
+    "negative Frobenius twist": (
+        lambda: frobenius_pullback(reduced_scheme(B2, 2), -1),
+        InvalidScheme, "Frobenius pull-back needs m >= 0"),
+    "certificate with a zero pairing": (
+        lambda: NotFanoCertificate(1, Root.of(0, 1), Fraction(1), pairing_value=0),
+        InvalidScheme, "certificate pairing must be negative"),
+    "type label without a rank": (
+        lambda: RootSystemType.parse("B"), InvalidRootSystem, "cannot parse type label 'B'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_REFUSALS))
+def test_named_refusals(case):
+    call, error, message = NAMED_REFUSALS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 @pytest.mark.parametrize("case", sorted(UNCOERCED))
