@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, CATALOG_VERSION
 from .census import (
@@ -179,7 +179,7 @@ def _query(args) -> CensusQuery:
     return CensusQuery(
         rtype=RootSystemType.parse(args.type),
         p=args.prime,
-        levi=frozenset(args.levi),
+        levi=args.levi,
         max_height=args.max_height,
         normalized_only=args.normalized,
     )
@@ -270,8 +270,11 @@ def _cmd_d4(args, out) -> int:
 
 
 def _cmd_dual(args, out) -> int:
+    if args.input is None and (args.prime is not None or args.pushforward):
+        flag = "--prime" if args.prime is not None else "--pushforward"
+        _SUBCOMMANDS["dual"][0].error(f"argument {flag}: not allowed without --input")
     rs = _system(args)
-    if args.input:
+    if args.input is not None:
         P = _load_scheme(args)
         Q = vsi_pushforward(P) if args.pushforward else vsi_pullback(P)
         print(_canonical(Q.to_json_dict()), file=out)
@@ -294,6 +297,10 @@ def _cmd_dual(args, out) -> int:
     return 0
 
 
+#: subcommand -> (its parser, its handler, {option string: Action}); filled by `build_parser`
+_SUBCOMMANDS: Dict[str, Tuple[argparse.ArgumentParser, Callable, Dict[str, argparse.Action]]] = {}
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
@@ -310,51 +317,93 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, help_, formats, prime=False, levi=False, height=False,
             inp=False):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--type", required=True, help="root system label, e.g. B2")
+        p, options = sub.add_parser(name, help=help_), {}
+        _SUBCOMMANDS[name] = (p, fn, options)
+
+        def arg(flag, **kwargs):  # the subcommand's add_argument, recording each option
+            options[flag] = p.add_argument(flag, **kwargs)
+
+        arg("--type", required=True, help="root system label, e.g. B2")
         if prime:
-            p.add_argument("--prime", type=int, required=True)
+            arg("--prime", type=int, required=True)
         if levi:
-            p.add_argument("--levi", type=_parse_levi, default=(),
-                           help="comma-separated simple indices; empty for the Borel")
+            arg("--levi", type=_parse_levi, default=(),
+                help="comma-separated simple indices; empty for the Borel")
         if height:
-            p.add_argument("--max-height", type=int, default=1, dest="max_height")
+            arg("--max-height", type=int, default=1, dest="max_height")
         if inp:
-            p.add_argument("--input", required=True,
-                           help="scheme JSON file, '-' for stdin")
-        p.add_argument("--format", choices=formats, default=formats[0])
+            arg("--input", required=True, help="scheme JSON file, '-' for stdin")
+        arg("--format", choices=formats, default=formats[0])
         p.set_defaults(fn=fn)
-        return p
+        return arg
 
     add("info", _cmd_info, "root system tables", ("text", "json"))
     add("constants", _cmd_constants, "structure constant magnitudes", ("csv",))
     b = add("blocks", _cmd_blocks, "rank-one block catalog", ("text", "json"),
             prime=True, height=True)
-    b.add_argument("--alpha", type=int, default=None)
+    b("--alpha", type=int, default=None)
     add("validate", _cmd_validate, "check a height function", ("json",),
         prime=True, inp=True)
     add("reconstruct", _cmd_reconstruct, "blockwise reconstruction", ("json",),
         prime=True, inp=True)
     c = add("census", _cmd_census, "enumerate schemes", ("json", "csv", "text", "dot"),
             prime=True, levi=True, height=True)
-    c.add_argument("--normalized", action="store_true")
+    c("--normalized", action="store_true")
     f = add("fano", _cmd_fano, "Fano census", ("csv", "json", "text"),
             prime=True, levi=True, height=True)
-    f.add_argument("--normalized", action="store_true")
+    f("--normalized", action="store_true")
     add("fibrations", _cmd_fibrations, "locally trivial fibration sequence", ("json",),
         prime=True, inp=True)
     add("d4", _cmd_d4, "long-root subsystem of F4", ("json", "text"))
     d = add("dual", _cmd_dual, "very special duality", ("json", "csv"))
-    d.add_argument("--prime", type=int, default=None)
-    d.add_argument("--input", default=None, help="scheme JSON to transport")
-    d.add_argument("--pushforward", action="store_true")
+    d("--prime", type=int, default=None)
+    d("--input", default=None, help="scheme JSON to transport")
+    d("--pushforward", action="store_true")
     return parser
 
 
+def _fast_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """`build_parser().parse_args(argv)` for a subcommand and exact options, each
+    once, with valid values not starting with "-", off the table; else None."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, fn, options = _SUBCOMMANDS[argv[0]]
+    seen: Dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        action = options.get(flag)
+        if action is None or action.dest in seen:
+            return None
+        if action.nargs == 0:  # store_true
+            seen[action.dest] = action.const
+            continue
+        text = next(tokens, "-")  # a missing value gives up like a "-" value
+        if text.startswith("-"):
+            return None
+        try:
+            value = (action.type or str)(text)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        seen[action.dest] = value
+    values = {"command": argv[0]}
+    for action in options.values():
+        if action.required and action.dest not in seen:
+            return None
+        values[action.dest] = seen.get(action.dest, action.default)
+    return argparse.Namespace(**values, fn=fn)
+
+
 def run(argv: Optional[List[str]] = None, out=None) -> int:
+    """Run one command line (default `sys.argv[1:]`), writing to `out`.  Argv that
+    `_fast_args` gives up on (help, `--version`, an abbreviation, `--opt=value`, a
+    repeat, a bad, missing or "-" value) goes to argparse, which writes every
+    help, usage and error byte."""
     out = out or sys.stdout
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(argv) or parser.parse_args(argv)
     try:
         return args.fn(args, out)
     except (ParabolicsError, OSError, json.JSONDecodeError) as exc:

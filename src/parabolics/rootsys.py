@@ -317,7 +317,10 @@ def check_levi(rs: RootSystem, levi: Iterable[int]) -> FrozenSet[int]:
         indices = iter(levi)
     except TypeError:
         raise InvalidScheme(f"Levi subset {levi!r} is not a collection of simple indices") from None
-    I = frozenset([_check_int(i) for i in indices])
+    checked = [_check_int(i) for i in indices]
+    I = frozenset(checked)
+    if len(I) < len(checked):
+        raise InvalidScheme(f"Levi subset {checked} repeats a simple index")
     if not I <= set(range(1, rs.rank + 1)):
         raise InvalidScheme(f"Levi subset {sorted(I)} outside 1..{rs.rank}")
     return I

@@ -268,6 +268,19 @@ def test_a_levi_subset_that_is_not_iterable_is_refused(levi):
         CensusQuery(RootSystemType.parse("B2"), 2, levi, 1)
 
 
+@pytest.mark.parametrize("levi", [[1, 1], (2, 1, 2), iter([1, 2, 1])])
+def test_a_repeated_levi_index_is_refused_not_merged(levi):
+    levi = list(levi)
+    message = r"^Levi subset \[%s\] repeats a simple index$" % ", ".join(map(str, levi))
+    B2_TYPE = RootSystemType.parse("B2")
+    for build in (lambda: check_levi(B2, levi), lambda: CensusQuery(B2_TYPE, 2, levi, 1),
+                  lambda: reduced_scheme(B2, 2, levi),
+                  lambda: ParabolicScheme(B2, 2, levi, {})):
+        with pytest.raises(InvalidScheme, match=message):
+            build()
+    assert check_levi(B2, frozenset(levi)) == frozenset(levi)
+
+
 def test_the_query_checks_its_levi_subset_after_prime_and_bound():
     B2_TYPE = RootSystemType.parse("B2")
     with pytest.raises(InvalidScheme, match="^characteristic 4 is not prime$"):

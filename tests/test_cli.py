@@ -359,6 +359,24 @@ def test_a_scheme_file_that_gives_a_root_two_heights_is_refused(phi, error, tmp_
     assert capsys.readouterr().err == f"InvalidScheme: {error}\n"
 
 
+def test_a_repeated_levi_index_is_a_domain_error(tmp_path, capsys):
+    census = ["census", "--type", "B2", "--prime", "2", "--levi"]
+    assert invoke(*census, "1,1") == (1, "")
+    assert capsys.readouterr().err == "InvalidScheme: Levi subset [1, 1] repeats a simple index\n"
+    f = tmp_path / "scheme.json"
+    f.write_text('{"type":"B2","prime":2,"levi":[1,1],"phi":{"[0,1]":0,"[1,1]":0,"[1,2]":0}}')
+    for command in ("validate", "reconstruct", "fibrations"):
+        code, out = invoke(command, "--type", "B2", "--prime", "2", "--input", str(f))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == \
+            "InvalidScheme: Levi subset [1, 1] repeats a simple index\n"
+
+
+def test_dual_with_an_empty_input_path_reads_the_path(capsys):
+    assert invoke("dual", "--type", "B2", "--input", "") == (1, "")
+    assert capsys.readouterr().err.startswith("FileNotFoundError: ")
+
+
 def test_format_the_subcommand_does_not_write_is_a_usage_error():
     proc = run_process("info", "--type", "B2", "--format", "dot")
     assert proc.returncode == 2

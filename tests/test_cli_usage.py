@@ -46,7 +46,8 @@ usage: parabolics census [-h] --type TYPE --prime PRIME [--levi LEVI]
                          [--format {json,csv,text,dot}] [--normalized]
 """
 
-#: one usage error per subcommand, plus two of the top-level parser
+#: one usage error per subcommand, two of the top-level parser, and `dual`'s
+#: transport flags without --input
 USAGE_ERRORS = {
     "no-command": ([], TOP_USAGE + "parabolics: error: the following arguments are "
                    "required: command\n"),
@@ -98,6 +99,16 @@ parabolics d4: error: argument --format: invalid choice: 'csv' (choose from 'jso
 usage: parabolics dual [-h] --type TYPE [--format {json,csv}] [--prime PRIME]
                        [--input INPUT] [--pushforward]
 parabolics dual: error: argument --prime: expected one argument
+"""),
+    "dual-without-input": (["dual", "--type", "B2", "--pushforward"], """\
+usage: parabolics dual [-h] --type TYPE [--format {json,csv}] [--prime PRIME]
+                       [--input INPUT] [--pushforward]
+parabolics dual: error: argument --pushforward: not allowed without --input
+"""),
+    "dual-prime-without-input": (["dual", "--type", "B2", "--prime", "2"], """\
+usage: parabolics dual [-h] --type TYPE [--format {json,csv}] [--prime PRIME]
+                       [--input INPUT] [--pushforward]
+parabolics dual: error: argument --prime: not allowed without --input
 """),
 }
 
