@@ -53,8 +53,10 @@ from .rootsys import (
 
 
 def _parse_levi(text: str) -> List[int]:
+    """The indices of a comma-separated list; only the empty string is the
+    Borel, and an empty token (`1,,2`, `,`, `1,`) is refused."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",")] if text else []
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated simple indices, got {text!r}"

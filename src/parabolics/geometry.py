@@ -7,8 +7,10 @@ through p^phi, so all character arithmetic uses exact (unbounded) integers.
 
 By bilinearity each pairing (chi, alpha_a) is a dot product: the weights
 p^phi(gamma), 0 on the Levi roots, against the column of (gamma, alpha_a)
-over the positive roots.  The columns are cached per root system and the
-powers per prime, so the Fano test and the certificate never build chi.
+over the positive roots.  The columns are cached per root system; the
+powers are computed per row, not cached per prime, so geometry keeps no state
+that grows with the heights, and the Fano test and the certificate never
+build chi.
 """
 
 from __future__ import annotations
@@ -77,24 +79,10 @@ def _columns(rs: RootSystem) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     return tuple(pairings), tuple(zip(*(g.coeffs for g in rs.positive_roots)))
 
 
-class _Powers(dict):
-    """p**v by height v, filled on first use; INFINITE (a Levi root) weighs 0."""
-
-    def __init__(self, p: int):
-        super().__init__({INFINITE: 0})
-        self.p = p
-
-    def __missing__(self, v: int) -> int:
-        self[v] = w = self.p ** v
-        return w
-
-
-_powers = lru_cache(maxsize=None)(_Powers)  # one table per prime
-
-
 def _weights(P: ParabolicScheme) -> Tuple[int, ...]:
-    """p**phi(gamma) per positive root, 0 on the Levi roots."""
-    return (*map(_powers(P.p).__getitem__, P.heights),)
+    """p**phi(gamma) per positive root, 0 on the Levi roots (INFINITE)."""
+    p = P.p
+    return tuple([0 if v is INFINITE else p ** v for v in P.heights])
 
 
 def anticanonical_character(P: ParabolicScheme) -> Character:
@@ -359,8 +347,11 @@ def _certificate(
 ) -> Optional[NotFanoCertificate]:
     """The body of not_fano_certificate, for a scheme its caller has checked
     to be normalized and of Picard rank at least two, and its generated blocks.
-    A cut passes when p**gap > H, tested on integers as p**gap * den > num."""
-    blocks = sorted(blocks, key=lambda b: (_chain_key(b), b.alpha))
+    A cut passes when p**gap > H, tested on integers as p**gap * den > num.
+    The blocks must come in node order, as `_generated_blocks` and the census
+    give them; the sort is stable, so blocks of equal chain key keep it (no
+    cut falls between them: their gap m - top is at most 0)."""
+    blocks = sorted(blocks, key=_chain_key)
     _require_quasi_standard(blocks)
     H = incidence_threshold(P.rs)
     num, den = H.as_integer_ratio()

@@ -25,7 +25,7 @@ build_parser()  # fills the option table
 GOOD = {
     "--type": ["A2", "B2", "g2", "XX"],
     "--prime": ["2", "3", "4", " 5", "+7"],
-    "--levi": ["", "1", "1,2", "2,1", "1,,2", " 1"],
+    "--levi": ["", "1", "1,2", "2,1", " 1"],
     "--max-height": ["0", "1", "3", "12"],
     "--input": ["scheme.json", "a=b", "census"],
     "--alpha": ["1", "2"],
@@ -35,7 +35,7 @@ OPTIONS = sorted({flag for _, _, options in _SUBCOMMANDS.values() for flag in op
 JUNK = [
     "-h", "--help", "--version", "--", "-1", "-", "", "x", "1.5", "-x",
     "--lev", "--ty", "--norm", "--max", "--type=B2", "--levi=1", "--prime=2",
-    "--format=csv", "bogus", "dot", "json", "1,x", "census", "fano",
+    "--format=csv", "bogus", "dot", "json", "1,x", "1,,2", "census", "fano",
 ]
 COMMANDS = sorted(_SUBCOMMANDS)
 

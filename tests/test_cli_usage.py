@@ -46,8 +46,8 @@ usage: parabolics census [-h] --type TYPE --prime PRIME [--levi LEVI]
                          [--format {json,csv,text,dot}] [--normalized]
 """
 
-#: one usage error per subcommand, two of the top-level parser, and `dual`'s
-#: transport flags without --input
+#: one usage error per subcommand, two of the top-level parser, `dual`'s
+#: transport flags without --input, and `--levi` values with an empty token
 USAGE_ERRORS = {
     "no-command": ([], TOP_USAGE + "parabolics: error: the following arguments are "
                    "required: command\n"),
@@ -82,6 +82,15 @@ parabolics reconstruct: error: the following arguments are required: --prime
     "census": (["census", "--type", "A2", "--prime", "2", "--levi", "x"], CENSUS_USAGE
                + "parabolics census: error: argument --levi: expected comma-separated "
                "simple indices, got 'x'\n"),
+    "census-levi-inner-empty": (["census", "--type", "A2", "--prime", "2", "--levi", "1,,2"],
+                                CENSUS_USAGE + "parabolics census: error: argument --levi: "
+                                "expected comma-separated simple indices, got '1,,2'\n"),
+    "census-levi-comma": (["census", "--type", "A2", "--prime", "2", "--levi", ","],
+                          CENSUS_USAGE + "parabolics census: error: argument --levi: "
+                          "expected comma-separated simple indices, got ','\n"),
+    "census-levi-trailing-comma": (["census", "--type", "A2", "--prime", "2", "--levi", "1,"],
+                                   CENSUS_USAGE + "parabolics census: error: argument --levi: "
+                                   "expected comma-separated simple indices, got '1,'\n"),
     "fano": (["fano", "--type", "B2", "--prime", "2", "--max-height", "1.5"], """\
 usage: parabolics fano [-h] --type TYPE --prime PRIME [--levi LEVI]
                        [--max-height MAX_HEIGHT] [--format {csv,json,text}]

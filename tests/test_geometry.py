@@ -1,8 +1,12 @@
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import parabolics
 from parabolics import (
     CensusQuery,
     Character,
@@ -105,6 +109,26 @@ def test_chi_uses_exact_big_integers():
     P = two_blocks(A2, 2, standard_block(1, 200), standard_block(2, 0))
     chi = anticanonical_character(P)
     assert chi.coeffs[0] == 2 ** 200 + 1
+
+
+def test_geometry_keeps_no_state_per_height():
+    # the weights p**v are computed per row: a Fano test or a character at
+    # new heights leaves nothing behind once its results are dropped.  Only
+    # blocks allocated in the package count: gc callbacks that other test
+    # modules install (hypothesis times each collection) allocate too.
+    schemes = [frobenius_pullback(reduced_scheme(A2, 2), h) for h in range(5000, 5100)]
+    is_fano(reduced_scheme(A2, 2)), anticanonical_character(reduced_scheme(A2, 2))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for P in schemes:
+            is_fano(P), anticanonical_character(P)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    package = tracemalloc.Filter(True, str(Path(parabolics.__file__).parent / "*"))
+    assert sum(t.size for t in snapshot.filter_traces([package]).traces) == 0
 
 
 # ---------------------------------------------------------------------------

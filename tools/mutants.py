@@ -1,0 +1,190 @@
+"""Mutation gate: every listed mutant of `src/` must be killed by its tests.
+
+    python3 tools/mutants.py
+
+Run from anywhere; the checkout is the directory above this file.  Each
+mutant is one exact text replacement in one source file, with the test files
+that must catch it.  For each mutant the script copies `src/` and `tests/`
+into a temporary directory, applies the replacement there and runs
+`pytest -x -q` on the mutant's test files, so the checkout is never touched.
+A mutant is killed when pytest reports a failing test (exit code 1).  The
+script prints one line per mutant and exits 1 if a mutant survives, if its
+tests fail to run at all (any other exit code), or if its old text does not
+occur exactly once in its file.  The mutants' test files first run once on
+an unmutated copy, and must pass there.  The whole list runs in about half a
+minute on a 2-vCPU host.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the checkout
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: Tuple[str, ...]  # test files, relative to the checkout
+    reason: str
+
+
+PHI, CENSUS = "src/parabolics/phi.py", "src/parabolics/census.py"
+GEOMETRY = "src/parabolics/geometry.py"
+
+MUTANTS = (
+    Mutant(
+        "weights-infinite-one", GEOMETRY,
+        "0 if v is INFINITE else p ** v", "1 if v is INFINITE else p ** v",
+        ("tests/test_geometry.py",),
+        "a Levi root weighs 0 in the anticanonical character",
+    ),
+    Mutant(
+        "certificate-sort-by-alpha", GEOMETRY,
+        "blocks = sorted(blocks, key=_chain_key)",
+        "blocks = sorted(blocks, key=lambda b: b.alpha)",
+        ("tests/test_geometry.py",),
+        "the certificate cuts the generated blocks in chain order, not node order",
+    ),
+    Mutant(
+        "certificate-sort-reversed", GEOMETRY,
+        "blocks = sorted(blocks, key=_chain_key)",
+        "blocks = sorted(blocks, key=_chain_key, reverse=True)",
+        ("tests/test_geometry.py",),
+        "the chain is cut from its least block upward",
+    ),
+    Mutant(
+        "levi-empty-token", "src/parabolics/cli.py",
+        'for tok in text.split(",")]', 'for tok in text.split(",") if tok]',
+        ("tests/test_cli_usage.py",),
+        "an empty --levi token is a usage error, never dropped",
+    ),
+    Mutant(
+        "census-last-tuple-wins", PHI,
+        "if x not in meets and not (drop", "if not (drop",
+        ("tests/test_carried_blocks.py",),
+        "a census meet carries the first, i.e. chain-least, block tuple that reaches it",
+    ),
+    Mutant(
+        "census-catalog-order", PHI,
+        "for b in sorted(_catalog(rs, p, alpha, max_height), key=_chain_key):",
+        "for b in _catalog(rs, p, alpha, max_height):",
+        ("tests/test_carried_blocks.py",),
+        "the packed catalogs are in chain order, so the first tuple is the least",
+    ),
+    Mutant(
+        "lane-no-guard-bit", PHI,
+        "k = ((max_height + 1).bit_length() + 8) // 8",
+        "k = ((max_height + 1).bit_length() + 7) // 8",
+        ("tests/test_census_fold.py",),
+        "a lane holds the heights up to the bound, INFINITE and a guard bit",
+    ),
+    Mutant(
+        "cover-without-a", PHI,
+        "        entry = _covering(P, alpha, window)\n        if entry is None:\n"
+        "            return False\n",
+        "        entry = _generated(P, alpha, window)\n",
+        ("tests/test_phi.py",),
+        "(a): a node with no anchored candidate containing P makes P invalid",
+    ),
+    Mutant(
+        "cover-without-b", PHI,
+        "return len(hit) == len(positions)", "return True",
+        ("tests/test_phi.py",),
+        "(b): every root off the Levi must be hit by a generated block equal to P there",
+    ),
+    Mutant(
+        "generated-fallback-first", PHI,
+        "or _chain(P.rs, P.p, alpha, P.heights[window[0]])[-1]",
+        "or _chain(P.rs, P.p, alpha, P.heights[window[0]])[0]",
+        ("tests/test_phi.py",),
+        "with no containing candidate the generated block falls back to the largest",
+    ),
+    Mutant(
+        "fano-gate-normalized-only", CENSUS,
+        "if certify and (q.normalized_only or is_normalized(P)):",
+        "if certify and q.normalized_only:",
+        ("tests/test_carried_blocks.py",),
+        "a plain Fano census certifies its normalized rows too",
+    ),
+    Mutant(
+        "census-projection-sum", CENSUS,
+        "tuples = math.prod(_catalog_size(rs, q.p, a, M) for a in nodes)",
+        "tuples = sum(_catalog_size(rs, q.p, a, M) for a in nodes)",
+        ("tests/test_census.py",),
+        "the census guard projects the product of the catalog sizes",
+    ),
+    Mutant(
+        "levi-repeated-index", "src/parabolics/rootsys.py",
+        "if len(I) < len(checked):", "if False:",
+        ("tests/test_census.py",),
+        "a repeated Levi index is refused, not merged",
+    ),
+    Mutant(
+        "json-repeated-root", PHI,
+        "            if g in phi:\n                raise", "            if False:\n                raise",
+        ("tests/test_phi.py",),
+        "a scheme file that spells one root twice is refused",
+    ),
+)
+
+
+def run_tests(tests: Sequence[str], m: Optional[Mutant] = None) -> Tuple[int, float]:
+    """(pytest exit code, seconds) of the test files on a copy, with the
+    mutant applied, if any."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp) / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        if m is not None:
+            target = Path(tmp) / m.file
+            target.write_text(target.read_text().replace(m.old, m.new))
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        return proc.returncode, time.perf_counter() - start
+
+
+def main() -> int:
+    counts = {m.name: (ROOT / m.file).read_text().count(m.old) for m in MUTANTS}
+    for m in MUTANTS:
+        if counts[m.name] != 1:
+            print(f"{m.name}: old text occurs {counts[m.name]} times in {m.file}, not once",
+                  file=sys.stderr)
+    if set(counts.values()) != {1}:
+        return 1
+    tests = sorted({t for m in MUTANTS for t in m.tests})
+    code, seconds = run_tests(tests)
+    print(f"{'clean' if code == 0 else 'FAILED':<8} {'(no mutant)':<28} {seconds:5.1f} s  "
+          f"{' '.join(tests)}", flush=True)
+    if code != 0:
+        print("the mutants' tests fail on the unmutated copy", file=sys.stderr)
+        return 1
+    failed = []
+    for m in MUTANTS:
+        code, seconds = run_tests(m.tests, m)
+        verdict = {1: "killed", 0: "SURVIVED"}.get(code, f"ERROR (pytest exit {code})")
+        print(f"{verdict:<8} {m.name:<28} {seconds:5.1f} s  {m.reason}", flush=True)
+        if code != 1:
+            failed.append(m.name)
+    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed")
+    if failed:
+        print(f"not killed: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
