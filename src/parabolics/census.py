@@ -6,10 +6,15 @@ instead tries every height function up to the bound and keeps the
 reconstruction fixpoints.  Where the guard admits, the two must agree exactly.
 
 The oracle is independent of the fold: it never calls the packed kernel or
-the block catalogs, only `is_valid` and `is_normalized`.  Its candidates
-are trusted height vectors, well formed by construction (INFINITE on the
-Levi roots, a value in 0..M elsewhere), so they skip the public
-constructor's checks; the query's prime, bound and Levi are checked once.
+the block catalogs, only is_valid's cover test (`_window_cover`) and
+`is_normalized`.  The cover test at a node reads only the candidate's
+heights on the node's window, so each call tables it per node, from window
+heights to the roots hit; a candidate then costs a dict lookup per node
+and an OR (about 1-3 us, against 4-7 us through `is_valid`), and only the
+survivors become schemes.  Their heights are well formed by construction
+(INFINITE on the Levi roots, a value in 0..M elsewhere), so they skip the
+public constructor's checks; the query's prime, bound and Levi are checked
+once.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExoticBlocksPresent, InvalidScheme, SearchSpaceTooLarge
@@ -33,13 +39,13 @@ from .phi import (
     _containment_bitsets,
     _levi_split,
     _row_format,
+    _window_cover,
     block_phi,  # unused here; the benchmark's tracer test reads census.block_phi
     is_normalized,
-    is_valid,
 )
 from .rootsys import RootSystem, RootSystemType, _check_int, build_root_system, check_levi
 
-#: the most candidates the oracle may enumerate, about 80 s at 8 us each
+#: the most candidates the oracle may enumerate, about 10-30 s at 1-3 us each
 BRUTE_FORCE_GUARD = 10 ** 7
 #: the most block tuples a census, or catalog blocks a command, may project (B6 p=2 M=4: 531441)
 CENSUS_GUARD = 10 ** 6
@@ -110,26 +116,52 @@ def _census(q: CensusQuery) -> Tuple[Tuple[ParabolicScheme, ...], Tuple[Tuple, .
     return _census_meets(rs, q.p, q.levi, nodes, M, q.normalized_only)
 
 
+class _CoverMasks(dict):
+    """One node's cover test, tabled for one oracle call.  It maps the node's
+    window heights (a scalar for a one-root window) to the int mask of the
+    domain roots its cover hits, or to -1 where no anchored candidate covers
+    them; -1 absorbs the OR over the nodes.  A miss runs _window_cover."""
+
+    def __init__(self, rs: RootSystem, p: int, alpha: int, bits: Sequence[int]):
+        super().__init__()
+        self.rs, self.p, self.alpha, self.bits = rs, p, alpha, bits
+
+    def __missing__(self, hw) -> int:
+        cover = _window_cover(self.rs, self.p, self.alpha, hw if type(hw) is tuple else (hw,))
+        mask = self[hw] = -1 if cover is None else sum(itertools.compress(self.bits, cover[1]))
+        return mask
+
+
 def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     """Independent oracle: every height function up to the bound that is a
-    reconstruction fixpoint.  Refuses when the candidate count exceeds the
-    guard."""
+    reconstruction fixpoint, tested as a cover.  Refuses when the candidate
+    count exceeds the guard."""
     rs, levi = q.system, q.levi
-    domain = _levi_split(rs, levi)[1]
+    _, domain, windows = _levi_split(rs, levi)
     if (q.max_height + 1) ** len(domain) > BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(
             f"(M+1)^{len(domain)} exceeds {BRUTE_FORCE_GUARD} candidates"
         )
+    # a window lies in the domain, so a candidate's heights on it are read off
+    # its values; the cover test at a node reads only those (is_valid's rule)
+    at = {i: j for j, i in enumerate(domain)}
+    nodes = [(_CoverMasks(rs, q.p, alpha, [1 << at[i] for i in window]),
+              itemgetter(*map(at.get, window))) for alpha, window in windows]
+    full = (1 << len(domain)) - 1
     heights: List[Height] = [INFINITE] * len(rs.positive_roots)
     out: List[ParabolicScheme] = []
     # the domain is in root order, so product yields the candidates in census
     # order (by the heights off the Levi) and the result needs no sort
     for values in itertools.product(range(q.max_height + 1), repeat=len(domain)):
-        for i, v in zip(domain, values):
-            heights[i] = v
-        P = ParabolicScheme._of(rs, q.p, levi, tuple(heights))
-        if is_valid(P) and (not q.normalized_only or is_normalized(P)):
-            out.append(P)
+        mask = 0
+        for masks, get in nodes:
+            mask |= masks[get(values)]
+        if mask == full:
+            for i, v in zip(domain, values):
+                heights[i] = v
+            P = ParabolicScheme._of(rs, q.p, levi, tuple(heights))
+            if not q.normalized_only or is_normalized(P):
+                out.append(P)
     return tuple(out)
 
 

@@ -41,6 +41,8 @@ so a row is one `%`.
 Reconstruction recovers the minimal anchored block at each node and
 re-intersects; a height function is valid exactly when this is the identity,
 which `is_valid` tests, without the meet, as a cover by the generated blocks.
+The test at a node reads only the heights on the node's window
+(`_window_cover`), so the brute-force oracle tables it per window.
 A census meet's generated blocks are its chain-least generating tuple: at
 each node the generated block is the least, in chain order, of the catalog
 blocks there that contain the meet, so every census carries them out of its
@@ -316,12 +318,6 @@ def _json_keys(rs: RootSystem) -> Tuple[str, ...]:
     return tuple(_canonical(list(g.coeffs)) for g in rs.positive_roots)
 
 
-@lru_cache(maxsize=None)
-def _text_labels(rs: RootSystem) -> Tuple[str, ...]:
-    """Text row ("\\n  phi(a1+a2) = %d") of each positive root, indexed like heights."""
-    return tuple(f"\n  phi({g}) = %d" for g in rs.positive_roots)
-
-
 class _RowFormat(NamedTuple):
     """Per format of one (system, Levi subset): a %d template, the getter of its heights."""
 
@@ -354,7 +350,7 @@ def _text_format(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[str, Callable]:
     """The text row format of (rs, levi), as a _RowFormat entry; apart from
     _row_format, so that it is built only where a scheme prints as text."""
     rows = _row_format(rs, levi)
-    lines = "".join(map(_text_labels(rs).__getitem__, rows.finite))
+    lines = "".join(f"\n  phi({rs.positive_roots[i]}) = %d" for i in rows.finite)
     return f"type {rs.rtype}  prime %d  levi {sorted(levi)}{lines}", rows.compact[1]
 
 
@@ -643,22 +639,28 @@ def _chain(rs: RootSystem, p: int, alpha: int, anchor: int) -> Tuple[Tuple, ...]
     return tuple((tuple(v for v in h if v is not INFINITE), h, b) for h, b in vectors)
 
 
-def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Optional[Tuple]:
-    """The _chain entry of the first anchored candidate at alpha containing P,
-    or None.  A block is INFINITE off its window, and P is finite on it
-    (alpha is off the Levi), so containment is an int comparison over the
-    window; the window starts at alpha, whose height is the anchor."""
-    h = P.heights
-    for entry in _chain(P.rs, P.p, alpha, h[window[0]]):
-        if all(map(ge, entry[0], map(h.__getitem__, window))):
-            return entry
+def _window_cover(rs: RootSystem, p: int, alpha: int, hw: Tuple[int, ...]) -> Optional[Tuple]:
+    """The cover test at alpha over hw, a scheme's heights on alpha's window
+    (anchor first): the _chain entry of the first anchored candidate
+    containing it and the window roots where the two are equal, or None.
+    A block is INFINITE off its window, and the scheme is finite on it
+    (alpha is off the Levi), so containment is an int comparison there."""
+    for entry in _chain(rs, p, alpha, hw[0]):
+        if all(map(ge, entry[0], hw)):
+            return entry, tuple(map(eq, entry[0], hw))
     return None
+
+
+def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Optional[Tuple]:
+    """_window_cover(P's heights on the window) for the scheme P."""
+    return _window_cover(P.rs, P.p, alpha, tuple(map(P.heights.__getitem__, window)))
 
 
 def _generated(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Tuple:
     """The _chain entry of the generated block at alpha: the first candidate
     containing P, else the last."""
-    return _covering(P, alpha, window) or _chain(P.rs, P.p, alpha, P.heights[window[0]])[-1]
+    cover = _covering(P, alpha, window)
+    return cover[0] if cover else _chain(P.rs, P.p, alpha, P.heights[window[0]])[-1]
 
 
 def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
@@ -695,13 +697,13 @@ def _is_cover(P: ParabolicScheme) -> bool:
     """reconstruct(P) == P without the meet: (a) each generated block contains
     P (a fallback block drops below it), and (b) each root off the Levi is a
     root where one of them equals P (a block is INFINITE off its window)."""
-    h, hit = P.heights, set()
+    hit = set()
     _, positions, windows = _levi_split(P.rs, P.levi)
     for alpha, window in windows:
-        entry = _covering(P, alpha, window)
-        if entry is None:
+        cover = _covering(P, alpha, window)
+        if cover is None:
             return False
-        hit.update(compress(window, map(eq, entry[0], map(h.__getitem__, window))))
+        hit.update(compress(window, cover[1]))
     return len(hit) == len(positions)
 
 

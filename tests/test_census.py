@@ -173,6 +173,9 @@ def _brute_force_by_public_constructor(query):
 @pytest.mark.parametrize("label,p,levi,M", [
     ("A2", 2, (), 2), ("B2", 2, (), 2), ("C2", 3, (), 2), ("G2", 2, (), 2),
     ("G2", 3, (1,), 3), ("A3", 3, (2,), 2), ("B3", 2, (1, 3), 2), ("B2", 2, (1, 2), 3),
+    # a one-root window (its table is keyed on a scalar), the exotic chains,
+    # overlapping windows round a Levi node, a prime with no edge
+    ("A1", 2, (), 4), ("G2", 2, (), 3), ("C3", 2, (2,), 2), ("A2", 5, (), 2),
 ])
 def test_brute_force_matches_the_public_constructor_loop(label, p, levi, M):
     for normalized in (False, True):

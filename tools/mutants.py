@@ -90,22 +90,34 @@ MUTANTS = (
     ),
     Mutant(
         "cover-without-a", PHI,
-        "        entry = _covering(P, alpha, window)\n        if entry is None:\n"
-        "            return False\n",
-        "        entry = _generated(P, alpha, window)\n",
+        "    return None\n\n\ndef _covering",
+        "    return entry, tuple(map(eq, entry[0], hw))\n\n\ndef _covering",
         ("tests/test_phi.py",),
         "(a): a node with no anchored candidate containing P makes P invalid",
     ),
     Mutant(
         "cover-without-b", PHI,
-        "return len(hit) == len(positions)", "return True",
+        "return entry, tuple(map(eq, entry[0], hw))",
+        "return entry, tuple(map(ge, entry[0], hw))",
         ("tests/test_phi.py",),
-        "(b): every root off the Levi must be hit by a generated block equal to P there",
+        "(b): a cover hits the window roots where it equals P, not every root it dominates",
+    ),
+    Mutant(
+        "oracle-hit-mask-ge", CENSUS,
+        "sum(itertools.compress(self.bits, cover[1]))", "sum(self.bits)",
+        ("tests/test_census.py",),
+        "the oracle's hit mask keeps the cover's equal roots, not all it dominates (ge)",
+    ),
+    Mutant(
+        "oracle-key-without-anchor", CENSUS,
+        "itemgetter(*map(at.get, window))", "itemgetter(*map(at.get, window[1:]))",
+        ("tests/test_census.py",),
+        "the oracle tables each node's cover by its window heights, anchor included",
     ),
     Mutant(
         "generated-fallback-first", PHI,
-        "or _chain(P.rs, P.p, alpha, P.heights[window[0]])[-1]",
-        "or _chain(P.rs, P.p, alpha, P.heights[window[0]])[0]",
+        "else _chain(P.rs, P.p, alpha, P.heights[window[0]])[-1]",
+        "else _chain(P.rs, P.p, alpha, P.heights[window[0]])[0]",
         ("tests/test_phi.py",),
         "with no containing candidate the generated block falls back to the largest",
     ),
