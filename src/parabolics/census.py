@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ExoticBlocksPresent, InvalidScheme, SearchSpaceTooLarge
-from .geometry import NotFanoCertificate, _certificate, is_fano
+from .errors import InvalidScheme, SearchSpaceTooLarge
+from .geometry import NotFanoCertificate, _certificate, _is_fano, _weights
 from .phi import (
     INFINITE,
     Height,
@@ -106,8 +106,8 @@ def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     return _census(q)[0]
 
 
-def _census(q: CensusQuery) -> Tuple[Tuple[ParabolicScheme, ...], Tuple[Tuple, ...]]:
-    """The query's schemes, and aligned with them their generated blocks."""
+def _census(q: CensusQuery) -> Tuple[Tuple[ParabolicScheme, ...], Tuple[Tuple[int, ...], ...]]:
+    """The query's schemes, and aligned with them their generated blocks' chain codes."""
     rs, M = q.system, q.max_height
     nodes = sorted(set(range(1, rs.rank + 1)) - q.levi)
     tuples = math.prod(_catalog_size(rs, q.p, a, M) for a in nodes)
@@ -180,17 +180,15 @@ def fano_census(q: CensusQuery) -> Tuple[FanoRow, ...]:
     attached where its machinery applies (normalized, quasi-standard, Picard
     rank at least two).  The gate is decided once per query: the query's Levi
     fixes the Picard rank, and normalized_only rows are normalized by construction.
-    Rows come from the census with their generated blocks."""
+    Rows come from the census with their generated blocks' chain codes."""
     certify = q.rtype.rank - len(q.levi) >= 2
+    nodes = [a for a, _ in _levi_split(q.system, q.levi)[2]]
     rows: List[FanoRow] = []
-    for P, blocks in zip(*_census(q)):
-        cert: Optional[NotFanoCertificate] = None
-        if certify and (q.normalized_only or is_normalized(P)):
-            try:
-                cert = _certificate(P, blocks)
-            except ExoticBlocksPresent:
-                cert = None
-        rows.append(FanoRow(P, is_fano(P), cert))
+    for P, codes in zip(*_census(q)):
+        w = _weights(P)
+        gated = certify and (q.normalized_only or is_normalized(P))
+        cert = _certificate(P, zip(codes, nodes), w) if gated else None
+        rows.append(FanoRow(P, _is_fano(P, w), cert))
     return tuple(rows)
 
 

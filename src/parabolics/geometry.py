@@ -29,7 +29,7 @@ from .phi import (
     KernelRecord,
     ParabolicScheme,
     RankOneBlock,
-    _chain_key,
+    _chain_code,
     _generated_blocks,
     _levi_split,
     block_phi,
@@ -101,7 +101,12 @@ def is_ample(rs: RootSystem, levi: FrozenSet[int], lam: Character) -> bool:
 
 def is_fano(P: ParabolicScheme) -> bool:
     """is_ample(rs, levi, anticanonical_character(P)), one dot product per node."""
-    w, cols = _weights(P), _columns(P.rs)[0]
+    return _is_fano(P, _weights(P))
+
+
+def _is_fano(P: ParabolicScheme, w: Tuple[int, ...]) -> bool:
+    """is_fano(P), given P's weights w."""
+    cols = _columns(P.rs)[0]
     return all(sum(map(mul, w, cols[a])) > 0 for a in range(P.rs.rank) if a + 1 not in P.levi)
 
 
@@ -339,29 +344,27 @@ def not_fano_certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
     _require_normalized(P)
     if picard_rank(P) < 2:
         raise InvalidScheme("certificate machinery needs Picard rank >= 2")
-    return _certificate(P, _generated_blocks(P).values())
+    blocks = _generated_blocks(P)
+    _require_quasi_standard(blocks.values())
+    return _certificate(P, [(_chain_code(b), a) for a, b in blocks.items()], _weights(P))
 
 
 def _certificate(
-    P: ParabolicScheme, blocks: Iterable[RankOneBlock]
+    P: ParabolicScheme, chain: Iterable[Tuple[int, int]], w: Tuple[int, ...]
 ) -> Optional[NotFanoCertificate]:
-    """The body of not_fano_certificate, for a scheme its caller has checked
-    to be normalized and of Picard rank at least two, and its generated blocks.
-    A cut passes when p**gap > H, tested on integers as p**gap * den > num.
-    The blocks must come in node order, as `_generated_blocks` and the census
-    give them; the sort is stable, so blocks of equal chain key keep it (no
-    cut falls between them: their gap m - top is at most 0)."""
-    blocks = sorted(blocks, key=_chain_key)
-    _require_quasi_standard(blocks)
+    """The body of not_fano_certificate, given the (_chain_code, node) pairs of
+    P's generated blocks and P's weights w, for a P its caller has checked to be
+    normalized and of Picard rank at least two; None if a code has the exotic
+    bit.  Sorted, the pairs are the chain; m = code >> 3, top = code + 4 >> 3.
+    A cut passes when p**gap > H, tested on integers as p**gap * den > num."""
+    chain = sorted(chain)
     H = incidence_threshold(P.rs)
     num, den = H.as_integer_ratio()
-    for i in range(1, len(blocks)):
-        gap = blocks[i].m - blocks[i - 1].top
+    for i in range(1, len(chain)):
+        gap = (chain[i][0] >> 3) - (chain[i - 1][0] + 4 >> 3)
         if gap >= 1 and P.p ** gap * den > num:
-            left = frozenset(b.alpha for b in blocks[:i])
-            l, delta = _incidence_root(P.rs, P.levi, left)
-            value = sum(map(mul, _weights(P), _columns(P.rs)[0][l - 1]))
-            return NotFanoCertificate(
-                beta_l=l, delta=delta, threshold=H, pairing_value=value
-            )
+            if any(c & 2 for c, _ in chain):  # read only where a cut passes
+                return None
+            l, delta = _incidence_root(P.rs, P.levi, frozenset(a for _, a in chain[:i]))
+            return NotFanoCertificate(l, delta, H, sum(map(mul, w, _columns(P.rs)[0][l - 1])))
     return None

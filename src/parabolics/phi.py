@@ -31,12 +31,12 @@ height: m for Standard(m), m+1 for every other kind X(m); the catalog at
 bound M (`_catalog`) holds the blocks with top at most M.  The chain key
 m + top orders blocks along their kernel chain Standard(0) < X(0) <
 Standard(1) < X(1) < ..., for the census, the anchored candidates and the
-certificate.  `_chain` caches the anchored candidates, per system, prime,
-node and anchor height, and `_packed_chain` the packed catalogs, per height
-bound.  Per Levi subset, `_levi_split` caches the roots off
-it, their positions and the window of each node off it, and `_row_format`
-the templates of every writer (the text one, `_text_format`, on first use),
-so a row is one `%`.
+certificate, which read it off one small int, the chain code (`_chain_code`).
+`_chain` caches the anchored candidates, per system, prime, node and anchor
+height, and `_packed_chain` the packed catalogs with their codes, per height
+bound.  Per Levi subset, `_levi_split` caches the roots off it, their
+positions and the window of each node off it, and `_row_format` the
+templates of every writer (the text one, `_text_format`, on first use).
 
 Reconstruction recovers the minimal anchored block at each node and
 re-intersects; a height function is valid exactly when this is the identity,
@@ -45,8 +45,8 @@ The test at a node reads only the heights on the node's window
 (`_window_cover`), so the brute-force oracle tables it per window.
 A census meet's generated blocks are its chain-least generating tuple: at
 each node the generated block is the least, in chain order, of the catalog
-blocks there that contain the meet, so every census carries them out of its
-one fold (`_census_meets`) instead of deriving them again.
+blocks there that contain the meet, so every census carries their chain
+codes (small ints, untracked by the GC) out of its one fold (`_census_meets`).
 """
 
 from __future__ import annotations
@@ -399,9 +399,15 @@ class RankOneBlock:
         return f"{self.kind.value}({self.m})@a{self.alpha}"
 
 
-def _chain_key(b: RankOneBlock) -> int:
-    """Chain position: 2m for Standard(m), 2m+1 for any other kind X(m)."""
-    return b.m + b.top
+def _chain_code(b: RankOneBlock) -> int:
+    """4 * chain key (m + top) + the place of b's kind in BlockKind: codes sort in
+    chain order, catalog order on ties; m is code >> 3, top code + 4 >> 3, exotic code & 2."""
+    return 4 * (b.m + b.top) + _KINDS.index(b.kind)
+
+
+def _block_of(alpha: int, code: int) -> RankOneBlock:
+    """The block at alpha with this _chain_code."""
+    return RankOneBlock(alpha, _KINDS[code & 3], code >> 3)
 
 
 def standard_block(alpha: int, m: int) -> RankOneBlock:
@@ -420,6 +426,7 @@ def exotic_l_block(m: int) -> RankOneBlock:
     return RankOneBlock(1, BlockKind.EXOTIC_L, m)
 
 
+_KINDS = tuple(BlockKind)  # numbered as in the chain codes
 _G2 = RootSystemType.parse("G2")
 
 # the a1-supported positive roots of G2 where the exotic blocks reach m+1
@@ -567,48 +574,50 @@ def _lane_masks(rs: RootSystem, max_height: int) -> Tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _packed_chain(rs: RootSystem, p: int, alpha: int, max_height: int) -> Tuple[Tuple, ...]:
-    """(packed vector, block) of each _catalog block, in chain order (catalog
-    order breaks ties), the vectors in the lanes of _lane_masks(rs, max_height)."""
+    """(packed vector, _chain_code) of each _catalog block, in chain order, in the
+    lanes of _lane_masks(rs, max_height).  X(m) packs as X(0) plus m on its
+    window (its top is m + X(0).top), so _block_vector caches only the X(0)."""
     k = _lane_masks(rs, max_height)[0]
-    inf = (1 << 8 * k - 1) - 1
-    chain = []
-    for b in sorted(_catalog(rs, p, alpha, max_height), key=_chain_key):
-        lanes = ((inf if v is INFINITE else v).to_bytes(k, "big") for v in _block_vector(rs, b)[1])
-        chain.append((int.from_bytes(b"".join(lanes), "big"), b))
-    return tuple(chain)
+    inf, chain = (1 << 8 * k - 1) - 1, []
+    for kind in _block_kinds(rs, p, alpha):
+        b, x, one = RankOneBlock(alpha, kind, 0), 0, 0
+        for v in _block_vector(rs, b)[1]:  # one lane per root, the first most significant
+            x, one = x << 8 * k | (inf if v is INFINITE else v), one << 8 * k | (v is not INFINITE)
+        chain += ((x + m * one, _chain_code(b) + 8 * m) for m in range(max_height + 1 - b.top))
+    return tuple(sorted(chain, key=itemgetter(1)))
 
 
 def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], nodes: Sequence[int],
                   max_height: int, normalized_only: bool) -> Tuple[Tuple, Tuple]:
     """Distinct meets of one catalog block at each node off `levi` (`nodes`, in
-    order), sorted by heights, and aligned with them their generated blocks: the
-    first tuple to reach a meet, each catalog in chain order and the partial
-    meets in the order first reached, i.e. the lexicographically least."""
+    order), sorted by heights, and aligned with them their generated blocks' chain
+    codes: the first tuple to reach a meet, each catalog in chain order and the
+    partial meets in the order first reached, i.e. the lexicographically least."""
     k, H, short = _lane_masks(rs, max_height)
     g, low = 8 * k - 1, H >> 8 * k - 1
     inf = (1 << g) - 1  # the INFINITE lane
     # normalized: a zero lane; a short one under the edge (the top short root is never Levi)
     sel = normalized_only and (short if edge_hypothesis(rs, p) else H)
-    tuples: Dict[int, Tuple[RankOneBlock, ...]] = {H - low: ()}  # the full group
+    tuples: Dict[int, Tuple[int, ...]] = {H - low: ()}  # the full group
     for i, alpha in enumerate(nodes, 1):
         chain = _packed_chain(rs, p, alpha, max_height)
-        meets: Dict[int, Tuple[RankOneBlock, ...]] = {}
+        meets: Dict[int, Tuple[int, ...]] = {}
         # the normalized filter, at the last node, where the meets are whole
         drop = sel and i == len(nodes)
         for a, t in tuples.items():
             aH = a | H
-            for b, block in chain:
+            for b, code in chain:
                 # lane-wise min: the guard bit of (a | H) - b survives where a >= b
                 x = a ^ (a ^ b) & ((aH - b & H) >> g) * inf
                 if x not in meets and not (drop and (x | H) - low & sel == sel):
-                    meets[x] = (*t, block)
+                    meets[x] = (*t, code)
         tuples = meets
-    n, codes = len(rs.short) * k, {inf: INFINITE}  # codes.get(v, v) decodes a lane
+    n, lane = len(rs.short) * k, {inf: INFINITE}  # lane.get(v, v) decodes a lane
     keys = sorted(tuples)
     rows = (x.to_bytes(n, "big") for x in keys)
     if k > 1:
         rows = ([int.from_bytes(b[i:i + k], "big") for i in range(0, n, k)] for b in rows)
-    schemes = tuple(ParabolicScheme._of(rs, p, levi, (*map(codes.get, c, c),)) for c in rows)
+    schemes = tuple(ParabolicScheme._of(rs, p, levi, (*map(lane.get, c, c),)) for c in rows)
     return schemes, tuple(map(tuples.__getitem__, keys))
 
 
@@ -635,7 +644,7 @@ def _chain(rs: RootSystem, p: int, alpha: int, anchor: int) -> Tuple[Tuple, ...]
         RankOneBlock(alpha, k, anchor - block_anchor_height(rs, RankOneBlock(alpha, k, 0)))
         for k in _block_kinds(rs, p, alpha)
     )
-    vectors = ((_block_vector(rs, b)[1], b) for b in sorted(blocks, key=_chain_key) if b.m >= 0)
+    vectors = ((_block_vector(rs, b)[1], b) for b in sorted(blocks, key=_chain_code) if b.m >= 0)
     return tuple((tuple(v for v in h if v is not INFINITE), h, b) for h, b in vectors)
 
 

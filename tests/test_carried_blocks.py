@@ -1,10 +1,11 @@
 """Differential test of the blocks a census carries out of its fold.
 
-`fano_census` certifies each row from the blocks the census fold kept for
-it: the first block tuple, each catalog in chain order, that reaches the
-row.  Here the census of every query of a grid is checked to align one block
-tuple with each scheme, each row's blocks against `_generated_blocks`,
-which derives the generated blocks from the scheme alone, and every
+`fano_census` certifies each row from the chain codes the census fold kept
+for it: those of the first block tuple, each catalog in chain order, that
+reaches the row.  Here the census of every query of a grid is checked to
+align one code tuple with each scheme, each row's codes, decoded at the nodes
+off the Levi, against `_generated_blocks`, which derives the generated blocks
+from the scheme alone, every row's Fano flag against `is_fano`, and every
 certified row against `not_fano_certificate`, which does the same.
 """
 
@@ -16,6 +17,7 @@ from parabolics import (
     CensusQuery,
     enumerate_parabolics,
     fano_census,
+    is_fano,
     is_normalized,
     not_fano_certificate,
     root_system,
@@ -23,18 +25,22 @@ from parabolics import (
 from parabolics.census import _census
 from parabolics.errors import ExoticBlocksPresent
 from parabolics.geometry import picard_rank
-from parabolics.phi import _generated_blocks
+from parabolics.phi import _block_of, _generated_blocks, _levi_split
 
 #: G2 at p = 2 holds the tie of ExoticH(m) and ExoticL(m) in chain order
 TYPES = ["A2", "B2", "C2", "G2", "B3", "C3"]
 
 
-def queries(label, p):
+#: the certificate grid adds F4, at bounds up to 2
+CERTIFIED_TYPES = TYPES + ["F4"]
+
+
+def queries(label, p, bounds=range(4)):
     rs = root_system(label)
     nodes = range(1, rs.rank + 1)
     for r in range(rs.rank + 1):
         for levi in itertools.combinations(nodes, r):
-            for M, normalized in itertools.product(range(4), (False, True)):
+            for M, normalized in itertools.product(bounds, (False, True)):
                 yield CensusQuery(rs.rtype, p, frozenset(levi), M, normalized)
 
 
@@ -46,7 +52,10 @@ def test_carried_blocks_are_the_generated_blocks(label, p):
         schemes, carried = _census(q)
         assert schemes == enumerate_parabolics(q)
         assert len(carried) == len(schemes)
-        for P, blocks in zip(schemes, carried):
+        nodes = [a for a, _ in _levi_split(q.system, q.levi)[2]]
+        for P, codes in zip(schemes, carried):
+            assert all(type(c) is int for c in codes), P
+            blocks = tuple(map(_block_of, nodes, codes))
             assert blocks == tuple(_generated_blocks(P).values()), P
             rows += 1
     assert rows > 0
@@ -59,16 +68,19 @@ def expected_certificate(P):
         return None
 
 
-@pytest.mark.parametrize("label", TYPES)
+@pytest.mark.parametrize("label", CERTIFIED_TYPES)
 def test_fano_census_certificates_match_the_public_certificate(label):
-    certified = 0
-    for p in (2, 3):
-        for q in queries(label, p):
+    rows = certified = 0
+    for p in (2, 3, 5):
+        for q in queries(label, p, range(3) if label == "F4" else range(4)):
             for row in fano_census(q):
                 P = row.scheme
+                assert row.fano == is_fano(P), P
+                rows += 1
                 if picard_rank(P) >= 2 and is_normalized(P):
                     assert row.certificate == expected_certificate(P), P
                     certified += row.certificate is not None
                 else:
                     assert row.certificate is None
-    assert certified > 0
+    # F4's threshold H = 26 exceeds p**gap for every gap up to 2 at p <= 5
+    assert rows > 0 and (certified > 0 or label == "F4")

@@ -353,6 +353,26 @@ def test_fano_census_a2_max_fano_height():
     assert fano_summary(rows)["max_fano_height"] == 1
 
 
+def test_fano_census_g2_p2_certificates_in_closed_form():
+    # rank two: the chain is the two generated blocks, lo below hi; a certificate
+    # exists exactly when neither is exotic and 2**(hi.m - lo.top) exceeds
+    # H = 15, i.e. the gap is at least 4, and its root is lo's node
+    exotic = (BlockKind.EXOTIC_H, BlockKind.EXOTIC_L)
+    certified = exotic_cuts = 0
+    for row in fano_census(q("G2", 2, (), 6, normalized=True)):
+        blocks = [generated_block(row.scheme, a) for a in (1, 2)]
+        lo, hi = sorted(blocks, key=lambda b: (b.m + b.top, b.alpha))
+        cut = hi.m - lo.top >= 4
+        if lo.kind in exotic or hi.kind in exotic:
+            assert row.certificate is None, row.scheme
+            exotic_cuts += cut
+        else:
+            assert (row.certificate is not None) == cut, row.scheme
+            assert not cut or row.certificate.beta_l == lo.alpha
+            certified += cut
+    assert certified > 0 and exotic_cuts > 0
+
+
 # ---------------------------------------------------------------------------
 # hasse diagrams
 

@@ -23,7 +23,15 @@ from parabolics import (
     rank_one_catalog,
     root_system,
 )
-from parabolics.phi import _block_vector, _catalog_size, _chain_key, _lane_masks, _packed_chain
+from parabolics.phi import (
+    BlockKind,
+    _block_of,
+    _block_vector,
+    _catalog_size,
+    _chain_code,
+    _lane_masks,
+    _packed_chain,
+)
 
 
 def tuple_fold(q):
@@ -101,7 +109,9 @@ def test_packed_chain_is_the_catalog_in_chain_order(label, p):
     rs = root_system(label)
     for a, M in itertools.product(range(1, rs.rank + 1), range(4)):
         chain = _packed_chain(rs, p, a, M)
-        assert [b for _, b in chain] == sorted(rank_one_catalog(rs, p, a, M), key=_chain_key)
+        assert all(type(c) is int for _, c in chain)
+        assert [_block_of(a, c) for _, c in chain] == sorted(
+            rank_one_catalog(rs, p, a, M), key=lambda b: b.m + b.top)
         assert len(chain) == _catalog_size(rs, p, a, M)
 
 
@@ -112,7 +122,35 @@ def test_packed_chain_lanes_decode_to_the_block_vectors(M, k):
         assert _lane_masks(rs, M)[0] == k
         inf = (1 << 8 * k - 1) - 1  # the all-ones lane below its zero guard bit
         for a in range(1, rs.rank + 1):
-            for packed, b in _packed_chain(rs, p, a, M):
+            for packed, code in _packed_chain(rs, p, a, M):
                 raw = packed.to_bytes(len(rs.positive_roots) * k, "big")
                 lanes = [int.from_bytes(raw[i:i + k], "big") for i in range(0, len(raw), k)]
-                assert tuple(INFINITE if v == inf else v for v in lanes) == _block_vector(rs, b)[1]
+                heights = _block_vector(rs, _block_of(a, code))[1]
+                assert tuple(INFINITE if v == inf else v for v in lanes) == heights
+
+
+@pytest.mark.parametrize("label,p", [("B3", 2), ("G2", 2), ("G2", 3), ("A2", 5)])
+def test_chain_codes_read_back_the_block(label, p):
+    # a code sorts like (chain key, catalog position), decodes to its block, and
+    # gives m, top and the exotic bit by shifts, as the certificate reads them
+    rs = root_system(label)
+    exotic = (BlockKind.EXOTIC_H, BlockKind.EXOTIC_L)
+    for a in range(1, rs.rank + 1):
+        catalog = rank_one_catalog(rs, p, a, 5)
+        codes = [_chain_code(b) for b in catalog]
+        assert sorted(codes) == [_chain_code(b) for b in sorted(catalog, key=lambda b: b.m + b.top)]
+        assert len(set(codes)) == len(codes)
+        for b, c in zip(catalog, codes):
+            assert _block_of(a, c) == b
+            assert (c >> 3, c + 4 >> 3, bool(c & 2)) == (b.m, b.top, b.kind in exotic)
+
+
+def test_packing_a_catalog_leaves_no_block_vector_per_bound():
+    # the X(0) vectors of each kind are shared by every bound; packing at a
+    # new bound adds no _block_vector entry
+    rs = root_system("G2")
+    _packed_chain(rs, 2, 1, 3)
+    size, misses = _block_vector.cache_info().currsize, _packed_chain.cache_info().misses
+    assert len(_packed_chain(rs, 2, 1, 4099)) == _catalog_size(rs, 2, 1, 4099)
+    assert _packed_chain.cache_info().misses == misses + 1
+    assert _block_vector.cache_info().currsize == size

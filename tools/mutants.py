@@ -50,15 +50,15 @@ MUTANTS = (
     ),
     Mutant(
         "certificate-sort-by-alpha", GEOMETRY,
-        "blocks = sorted(blocks, key=_chain_key)",
-        "blocks = sorted(blocks, key=lambda b: b.alpha)",
+        "chain = sorted(chain)",
+        "chain = sorted(chain, key=lambda c: c[1])",
         ("tests/test_geometry.py",),
         "the certificate cuts the generated blocks in chain order, not node order",
     ),
     Mutant(
         "certificate-sort-reversed", GEOMETRY,
-        "blocks = sorted(blocks, key=_chain_key)",
-        "blocks = sorted(blocks, key=_chain_key, reverse=True)",
+        "chain = sorted(chain)",
+        "chain = sorted(chain, reverse=True)",
         ("tests/test_geometry.py",),
         "the chain is cut from its least block upward",
     ),
@@ -76,10 +76,22 @@ MUTANTS = (
     ),
     Mutant(
         "census-catalog-order", PHI,
-        "for b in sorted(_catalog(rs, p, alpha, max_height), key=_chain_key):",
-        "for b in _catalog(rs, p, alpha, max_height):",
+        "return tuple(sorted(chain, key=itemgetter(1)))",
+        "return tuple(chain)",
         ("tests/test_carried_blocks.py",),
         "the packed catalogs are in chain order, so the first tuple is the least",
+    ),
+    Mutant(
+        "carry-drops-exotic", PHI,
+        "_chain_code(b) + 8 * m)", "(_chain_code(b) & ~2) + 8 * m)",
+        ("tests/test_census.py",),
+        "a carried exotic block keeps its exotic bit, so its row is not certified",
+    ),
+    Mutant(
+        "cut-gap-off-by-one", GEOMETRY,
+        "P.p ** gap * den > num:", "P.p ** (gap + 1) * den > num:",
+        ("tests/test_geometry.py",),
+        "a cut passes when p**gap, not p**(gap + 1), exceeds the threshold",
     ),
     Mutant(
         "lane-no-guard-bit", PHI,
@@ -123,8 +135,8 @@ MUTANTS = (
     ),
     Mutant(
         "fano-gate-normalized-only", CENSUS,
-        "if certify and (q.normalized_only or is_normalized(P)):",
-        "if certify and q.normalized_only:",
+        "gated = certify and (q.normalized_only or is_normalized(P))",
+        "gated = certify and q.normalized_only",
         ("tests/test_carried_blocks.py",),
         "a plain Fano census certifies its normalized rows too",
     ),
