@@ -25,7 +25,6 @@ from .rootsys import (
     build_root_system,
     find_incidence_root,
     levi_components,
-    levi_positive_roots,
     long_root_subsystem,
     root_system,
     very_special_dual,

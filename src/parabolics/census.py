@@ -215,16 +215,16 @@ class HasseDiagram(NamedTuple):
 def hasse_diagram(q: CensusQuery) -> HasseDiagram:
     """Covering pairs (i, j) of the containment order, in increasing order:
     scheme j contains scheme i (strictly, as the schemes are distinct) and
-    no scheme lies between, i.e. up[i] & down[j] is empty.  Refuses, before
-    building them, bitsets larger than the Hasse guard."""
-    schemes = enumerate_parabolics(q)
+    no scheme lies between, i.e. up[i] & down[j] is empty, over the census's
+    chain codes.  Refuses, before building them, bitsets larger than the guard."""
+    schemes, codes = _census(q)
     n = len(schemes)
     size = 2 * n * -(-n // 8)  # up and down: n bitsets of n bits each
     if size > HASSE_GUARD:
         raise SearchSpaceTooLarge(
             f"{size} bytes of Hasse bitsets for {n} schemes exceed the limit {HASSE_GUARD}"
         )
-    up, down = _containment_bitsets(schemes)
+    up, down = _containment_bitsets(codes)
     edges = []
     for i, above in enumerate(up):
         while above:

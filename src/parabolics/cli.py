@@ -90,6 +90,11 @@ def _load_scheme(args) -> ParabolicScheme:
         raise InvalidScheme(f"scheme input is not UTF-8: {exc}") from None
     except RecursionError:
         raise InvalidScheme("scheme JSON is nested too deeply") from None
+    except (json.JSONDecodeError, ParabolicsError):
+        raise  # run prints them as they stand
+    except ValueError:  # an integer past the int-string conversion limit
+        limit = sys.get_int_max_str_digits()
+        raise InvalidScheme(f"scheme JSON holds an integer of more than {limit} digits") from None
     if not isinstance(data, dict):
         raise InvalidScheme("scheme JSON must be an object")
     prime = getattr(args, "prime", None)

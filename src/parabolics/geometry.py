@@ -24,16 +24,13 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 from .errors import ExoticBlocksPresent, InvalidScheme, NoSmoothContraction
 from .phi import (
     INFINITE,
-    BlockKind,
     KernelKind,
     KernelRecord,
     ParabolicScheme,
-    RankOneBlock,
-    _chain_code,
+    _block_of,
     _generated_blocks,
     _levi_split,
-    block_phi,
-    intersect_all,
+    _meet,
     is_normalized,
     normalize,
     reduced_scheme,
@@ -118,17 +115,13 @@ def smooth_contraction_roots(P: ParabolicScheme) -> FrozenSet[int]:
     """Simple roots whose generated block is the reduced Standard(0), i.e.
     whose contraction has smooth total space.  Meaningful on normalized
     schemes."""
-    return _smooth(_generated_blocks(P))
+    return frozenset(a for a, c in _generated_blocks(P).items() if not c)  # code 0: Standard(0)
 
 
-def _smooth(blocks: Dict[int, RankOneBlock]) -> FrozenSet[int]:
-    return frozenset(a for a, b in blocks.items() if b.top == 0)  # only Standard(0)
-
-
-def _require_quasi_standard(blocks: Iterable[RankOneBlock]) -> None:
-    exotic = [b for b in blocks if b.kind in (BlockKind.EXOTIC_H, BlockKind.EXOTIC_L)]
+def _require_quasi_standard(blocks: Dict[int, int]) -> None:
+    exotic = [str(_block_of(a, c)) for a, c in blocks.items() if c & 2]
     if exotic:
-        raise ExoticBlocksPresent(f"exotic generated blocks {[str(b) for b in exotic]}")
+        raise ExoticBlocksPresent(f"exotic generated blocks {exotic}")
 
 
 def _require_normalized(P: ParabolicScheme) -> None:
@@ -155,14 +148,10 @@ def p_sm(P: ParabolicScheme) -> SmoothPart:
     """
     _require_normalized(P)
     blocks = _generated_blocks(P)
-    _require_quasi_standard(blocks.values())
-    smooth = _smooth(blocks)
-    rough = [a for a in blocks if a not in smooth]
-    reduced_levi = frozenset(range(1, P.rs.rank + 1)) - smooth
-    red = reduced_scheme(P.rs, P.p, reduced_levi)
-    complement = intersect_all(
-        P.rs, P.p, [block_phi(P.rs, P.p, blocks[a]) for a in rough]
-    )
+    _require_quasi_standard(blocks)
+    rough = {a: c for a, c in blocks.items() if c}  # the blocks other than Standard(0)
+    red = reduced_scheme(P.rs, P.p, P.levi.union(rough))
+    complement = _meet(P.rs, P.p, rough)
     norm = normalize(complement)
     return SmoothPart(
         reduced=red,
@@ -345,8 +334,8 @@ def not_fano_certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
     if picard_rank(P) < 2:
         raise InvalidScheme("certificate machinery needs Picard rank >= 2")
     blocks = _generated_blocks(P)
-    _require_quasi_standard(blocks.values())
-    return _certificate(P, [(_chain_code(b), a) for a, b in blocks.items()], _weights(P))
+    _require_quasi_standard(blocks)
+    return _certificate(P, [(c, a) for a, c in blocks.items()], _weights(P))
 
 
 def _certificate(

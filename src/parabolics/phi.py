@@ -24,29 +24,28 @@ simple root off the Levi.  The block catalog at a simple root alpha:
       ExoticH(m): 2a1+a2 -> m+1, other a1-supported roots -> m
       ExoticL(m): a1, a1+a2 -> m+1, 2a1+a2, 3a1+a2, 3a1+2a2 -> m
 
-`_block_kinds` is the one statement of which kinds exist at which node; the
-block check, the catalog and the anchored candidate chains are derived from
-it and from the block height vectors.  A block's `top` is its largest
-height: m for Standard(m), m+1 for every other kind X(m); the catalog at
-bound M (`_catalog`) holds the blocks with top at most M.  The chain key
-m + top orders blocks along their kernel chain Standard(0) < X(0) <
-Standard(1) < X(1) < ..., for the census, the anchored candidates and the
-certificate, which read it off one small int, the chain code (`_chain_code`).
-`_chain` caches the anchored candidates, per system, prime, node and anchor
-height, and `_packed_chain` the packed catalogs with their codes, per height
-bound.  Per Levi subset, `_levi_split` caches the roots off it, their
-positions and the window of each node off it, and `_row_format` the
-templates of every writer (the text one, `_text_format`, on first use).
+`_block_kinds` is the one statement of which kinds exist at which node.  A
+block's `top` is its largest height: m for Standard(m), m+1 for every other
+kind X(m); the catalog at bound M (`_catalog`) holds the blocks with top at
+most M.  The chain key m + top orders blocks along their kernel chain
+Standard(0) < X(0) < Standard(1) < X(1) < ....  Inside the package a block at
+a node is one small int, its chain code (`_chain_code`), which sorts in chain
+order and gives m, top and the exotic bit by shifts; a `RankOneBlock` is
+built (`_block_of`) only where one is returned or printed.  `_block_vector`
+caches the heights of X(0) on the node's window, one vector per kind, and
+X(m) is X(0) plus m there and INFINITE elsewhere (`_meet`).  `_chain` caches
+the anchored candidates per node and anchor height, and `_packed_chain` the
+packed catalogs with their codes per height bound.  Per Levi subset,
+`_levi_split` caches the roots off it, their positions and the window of
+each node, and `_row_format` the templates of every writer.
 
-Reconstruction recovers the minimal anchored block at each node and
-re-intersects; a height function is valid exactly when this is the identity,
-which `is_valid` tests, without the meet, as a cover by the generated blocks.
-The test at a node reads only the heights on the node's window
-(`_window_cover`), so the brute-force oracle tables it per window.
-A census meet's generated blocks are its chain-least generating tuple: at
-each node the generated block is the least, in chain order, of the catalog
-blocks there that contain the meet, so every census carries their chain
-codes (small ints, untracked by the GC) out of its one fold (`_census_meets`).
+Reconstruction meets the generated block at each node, the least anchored
+candidate containing the scheme; a height function is valid exactly when
+this is the identity, which `is_valid` tests, without the meet, as a cover
+by the generated blocks, per window (`_window_cover`).  A census meet's
+generated blocks are its chain-least generating tuple, so every census
+carries their codes out of its one fold (`_census_meets`), and the Hasse
+order compares them node by node (`_containment_bitsets`).
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import compress
-from operator import add, and_, eq, ge, itemgetter, or_
+from itertools import compress, product
+from operator import add, and_, eq, ge, itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from typing import Callable, Union
 
@@ -399,10 +398,11 @@ class RankOneBlock:
         return f"{self.kind.value}({self.m})@a{self.alpha}"
 
 
-def _chain_code(b: RankOneBlock) -> int:
-    """4 * chain key (m + top) + the place of b's kind in BlockKind: codes sort in
-    chain order, catalog order on ties; m is code >> 3, top code + 4 >> 3, exotic code & 2."""
-    return 4 * (b.m + b.top) + _KINDS.index(b.kind)
+def _chain_code(kind: BlockKind, m: int) -> int:
+    """X(m)'s code, 4 * chain key (m + top) + the kind's place in BlockKind: codes sort
+    in chain order, catalog order on ties; m is code >> 3, top code + 4 >> 3, exotic code & 2."""
+    i = _KINDS.index(kind)
+    return 8 * m + (i and 4 + i)  # X(0)'s top is 0 for Standard (i = 0), else 1
 
 
 def _block_of(alpha: int, code: int) -> RankOneBlock:
@@ -430,9 +430,8 @@ _KINDS = tuple(BlockKind)  # numbered as in the chain codes
 _G2 = RootSystemType.parse("G2")
 
 # the a1-supported positive roots of G2 where the exotic blocks reach m+1
-_G2_A1 = Root.of(1, 0)
-_G2_A1A2 = Root.of(1, 1)
-_G2_2A1A2 = Root.of(2, 1)
+_EXOTIC_TOPS = {BlockKind.EXOTIC_H: {Root.of(2, 1)},
+                BlockKind.EXOTIC_L: {Root.of(1, 0), Root.of(1, 1)}}
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -479,35 +478,39 @@ def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
 
 
 @lru_cache(maxsize=None)
-def _block_vector(
-    rs: RootSystem, block: RankOneBlock
-) -> Tuple[FrozenSet[int], Tuple[Height, ...]]:
-    """Levi and height vector of a block; they do not depend on p."""
-    a, m = block.alpha - 1, block.m
-    heights: List[Height] = []
-    for g, short in zip(rs.positive_roots, rs.short):
-        if not g.coeffs[a]:
-            heights.append(INFINITE)
-        elif block.kind is BlockKind.STANDARD:
-            heights.append(m)
-        elif block.kind is BlockKind.VERY_SPECIAL:
-            heights.append(m + 1 if short else m)
-        elif block.kind is BlockKind.EXOTIC_H:
-            heights.append(m + 1 if g == _G2_2A1A2 else m)
-        else:
-            heights.append(m + 1 if g in (_G2_A1, _G2_A1A2) else m)
-    return frozenset(range(1, rs.rank + 1)) - {block.alpha}, tuple(heights)
+def _block_vector(rs: RootSystem, alpha: int, kind: BlockKind) -> Tuple[int, ...]:
+    """The heights of the block X(0) of this kind at alpha on alpha's window, the
+    anchor first; X(m) is X(0) plus m there (`_meet`), so no cache is keyed by m."""
+    pos = rs.positive_roots
+    tops = ({g for g, s in zip(pos, rs.short) if s} if kind is BlockKind.VERY_SPECIAL
+            else _EXOTIC_TOPS.get(kind, ()))  # the roots where X(0) reaches 1
+    return tuple(int(pos[i] in tops) for i in _levi_split(rs, frozenset())[2][alpha - 1][1])
+
+
+def _meet(rs: RootSystem, p: int, blocks: Mapping[int, int]) -> ParabolicScheme:
+    """The meet of the blocks with these chain codes, by node, a minimum over their
+    windows (INFINITE elsewhere); its Levi is the nodes that carry no block."""
+    heights: List[Height] = [INFINITE] * len(rs.positive_roots)
+    windows = _levi_split(rs, frozenset())[2]
+    for alpha, code in blocks.items():
+        m = code >> 3
+        for i, v in zip(windows[alpha - 1][1], _block_vector(rs, alpha, _KINDS[code & 3])):
+            h = heights[i]
+            if h is INFINITE or v + m < h:
+                heights[i] = v + m
+    levi = frozenset(range(1, rs.rank + 1)).difference(blocks)
+    return ParabolicScheme._of(rs, p, levi, tuple(heights))
 
 
 def block_phi(rs: RootSystem, p: int, block: RankOneBlock) -> ParabolicScheme:
     """Height function of one catalog block (Levi is everything but the anchor)."""
     _check_block(rs, p, block)
-    return ParabolicScheme._of(rs, p, *_block_vector(rs, block))
+    return _meet(rs, p, {block.alpha: _chain_code(block.kind, block.m)})
 
 
 def block_anchor_height(rs: RootSystem, block: RankOneBlock) -> int:
     """Height of the block on its own anchor root."""
-    return _block_vector(rs, block)[1][rs.index[rs.simple_roots[block.alpha - 1]]]
+    return _block_vector(rs, block.alpha, block.kind)[0] + block.m
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +543,32 @@ def contains(P: ParabolicScheme, Q: ParabolicScheme) -> bool:
     return all(map(height_ge, P.heights, Q.heights))
 
 
-def _containment_bitsets(schemes: Sequence[ParabolicScheme]) -> Tuple[List[int], List[int]]:
-    """Strict containment among distinct schemes as int bitsets: bit j of
-    up[i], and bit i of down[j], say that schemes[j] contains schemes[i].
+def _containment_bitsets(codes: Sequence[Tuple[int, ...]]) -> Tuple[List[int], List[int]]:
+    """Strict containment among the distinct schemes of one census, given the
+    chain codes of each one's generated blocks at the nodes off the Levi: bit j
+    of up[i], and bit i of down[j], say that scheme j contains scheme i.  Per
+    node the schemes are grouped by code into bitsets, and up[i] (down[i]) keeps
+    those whose block there contains (lies in) scheme i's: O(n * r) big-int ANDs.
 
-    Per root the schemes are grouped by height into bitsets, and up[i]
-    (down[i]) keeps those at least (at most) as high as schemes[i]: O(n * N)
-    big-int ANDs.  A Levi simple root has height INFINITE, so dominance at
-    the simple roots gives Levi containment with no separate test."""
-    for Q in schemes[1:]:
-        _check_compatible(schemes[0], Q)
-    up = down = [(1 << len(schemes)) - 1] * len(schemes)
-    for column in zip(*(P.heights for P in schemes)):
-        at: Dict[Height, int] = {}
+    The order is exact.  At one node, B lies in B' exactly when key(B) < key(B')
+    or B = B', for the chain key m + top = code >> 2, because Standard(m) lies
+    in X(m) and X(m) in Standard(m+1) for every kind X.  Two distinct blocks
+    share a key only as ExoticH(m) and ExoticL(m) (G2, p = 2); these two are
+    incomparable, and they meet in Standard(m).  So the catalog blocks at a
+    node that contain a valid P have a least element, which is P's generated
+    block G_a(P) there.  Because Q is the meet of its G_a(Q), Q contains P
+    exactly when G_a(Q) contains G_a(P) at every node a."""
+    n = len(codes)
+    up = down = [(1 << n) - 1] * n
+    for column in zip(*codes):
+        at: Dict[int, int] = {}
         for j, v in enumerate(column):
             at[v] = at.get(v, 0) | 1 << j
-        ge = {v: reduce(or_, (s for w, s in at.items() if height_ge(w, v))) for v in at}
-        le = {v: reduce(or_, (s for w, s in at.items() if height_ge(v, w))) for v in at}
+        ge, le = dict.fromkeys(at, 0), dict.fromkeys(at, 0)
+        for v, w in product(at, repeat=2):
+            if w >> 2 > v >> 2 or w == v:  # the block w contains the block v
+                ge[v] |= at[w]
+                le[w] |= at[v]
         up = list(map(and_, up, map(ge.__getitem__, column)))
         down = list(map(and_, down, map(le.__getitem__, column)))
     return [u ^ 1 << i for i, u in enumerate(up)], [d ^ 1 << i for i, d in enumerate(down)]
@@ -576,14 +588,15 @@ def _lane_masks(rs: RootSystem, max_height: int) -> Tuple[int, int, int]:
 def _packed_chain(rs: RootSystem, p: int, alpha: int, max_height: int) -> Tuple[Tuple, ...]:
     """(packed vector, _chain_code) of each _catalog block, in chain order, in the
     lanes of _lane_masks(rs, max_height).  X(m) packs as X(0) plus m on its
-    window (its top is m + X(0).top), so _block_vector caches only the X(0)."""
+    window (its top is m + X(0).top)."""
     k = _lane_masks(rs, max_height)[0]
     inf, chain = (1 << 8 * k - 1) - 1, []
     for kind in _block_kinds(rs, p, alpha):
-        b, x, one = RankOneBlock(alpha, kind, 0), 0, 0
-        for v in _block_vector(rs, b)[1]:  # one lane per root, the first most significant
+        x = one = 0
+        for v in _meet(rs, p, {alpha: _chain_code(kind, 0)}).heights:  # the first root leads
             x, one = x << 8 * k | (inf if v is INFINITE else v), one << 8 * k | (v is not INFINITE)
-        chain += ((x + m * one, _chain_code(b) + 8 * m) for m in range(max_height + 1 - b.top))
+        chain += ((x + m * one, _chain_code(kind, m))
+                  for m in range(max_height + (kind is BlockKind.STANDARD)))
     return tuple(sorted(chain, key=itemgetter(1)))
 
 
@@ -630,22 +643,23 @@ def anchored_candidates(
 ) -> Tuple[RankOneBlock, ...]:
     """Catalog blocks at alpha whose height on alpha equals `anchor`, in
     increasing containment order (_chain); a bool or float node or anchor is refused."""
-    return tuple(entry[2] for entry in _chain(rs, p, _check_int(alpha), _check_int(anchor)))
+    chain = _chain(rs, p, _check_int(alpha), _check_int(anchor))
+    return tuple(_block_of(alpha, c) for _, c in chain)
 
 
 @lru_cache(maxsize=None)
 def _chain(rs: RootSystem, p: int, alpha: int, anchor: int) -> Tuple[Tuple, ...]:
-    """(window heights, block vector, block) of each catalog block at alpha
-    whose height on alpha equals `anchor`, in increasing containment order;
-    the window heights are the block's finite ones.  The blocks form a chain
-    because Standard(m) is contained in X(m), and X(m) in Standard(m+1), for
-    every other kind X.  The cache is untyped: callers pass int nodes and anchors."""
-    blocks = (
-        RankOneBlock(alpha, k, anchor - block_anchor_height(rs, RankOneBlock(alpha, k, 0)))
-        for k in _block_kinds(rs, p, alpha)
-    )
-    vectors = ((_block_vector(rs, b)[1], b) for b in sorted(blocks, key=_chain_code) if b.m >= 0)
-    return tuple((tuple(v for v in h if v is not INFINITE), h, b) for h, b in vectors)
+    """(window heights, _chain_code) of each catalog block at alpha whose height on
+    alpha equals `anchor`, in increasing containment order: a chain, as Standard(m)
+    lies in X(m), and X(m) in Standard(m+1), for every other kind X.  The cache is
+    untyped: callers pass int nodes and anchors."""
+    chain = []
+    for kind in _block_kinds(rs, p, alpha):
+        h = _block_vector(rs, alpha, kind)
+        m = anchor - h[0]  # X(m) is X(0) plus m, and the anchor leads the window
+        if m >= 0:
+            chain.append((tuple(v + m for v in h), _chain_code(kind, m)))
+    return tuple(sorted(chain, key=itemgetter(1)))
 
 
 def _window_cover(rs: RootSystem, p: int, alpha: int, hw: Tuple[int, ...]) -> Optional[Tuple]:
@@ -665,11 +679,11 @@ def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Option
     return _window_cover(P.rs, P.p, alpha, tuple(map(P.heights.__getitem__, window)))
 
 
-def _generated(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Tuple:
-    """The _chain entry of the generated block at alpha: the first candidate
+def _generated(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> int:
+    """The chain code of the generated block at alpha: the first candidate
     containing P, else the last."""
     cover = _covering(P, alpha, window)
-    return cover[0] if cover else _chain(P.rs, P.p, alpha, P.heights[window[0]])[-1]
+    return (cover[0] if cover else _chain(P.rs, P.p, alpha, P.heights[window[0]])[-1])[1]
 
 
 def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
@@ -684,22 +698,18 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     """
     if _check_int(alpha) in P.levi or not 1 <= alpha <= P.rs.rank:
         raise InvalidScheme(f"a{alpha} is not outside the Levi {sorted(P.levi)}")
-    return _generated(P, alpha, dict(_levi_split(P.rs, P.levi)[2])[alpha])[2]
+    return _block_of(alpha, _generated(P, alpha, dict(_levi_split(P.rs, P.levi)[2])[alpha]))
 
 
-def _generated_blocks(P: ParabolicScheme) -> Dict[int, RankOneBlock]:
-    """The generated block at each simple root off the Levi, by node."""
-    return {a: _generated(P, a, w)[2] for a, w in _levi_split(P.rs, P.levi)[2]}
+def _generated_blocks(P: ParabolicScheme) -> Dict[int, int]:
+    """The chain code of the generated block at each simple root off the Levi, by node."""
+    return {a: _generated(P, a, w) for a, w in _levi_split(P.rs, P.levi)[2]}
 
 
 def reconstruct(P: ParabolicScheme) -> ParabolicScheme:
     """Intersection of the generated blocks over the simple roots off the
     Levi; equals P exactly when P is a genuine parabolic scheme."""
-    vectors = [_generated(P, a, w)[1] for a, w in _levi_split(P.rs, P.levi)[2]]
-    if not vectors:
-        return P
-    heights = reduce(lambda h, v: tuple(map(height_min, h, v)), vectors)
-    return ParabolicScheme._of(P.rs, P.p, P.levi, heights)
+    return _meet(P.rs, P.p, _generated_blocks(P))
 
 
 def _is_cover(P: ParabolicScheme) -> bool:

@@ -326,12 +326,6 @@ def check_levi(rs: RootSystem, levi: Iterable[int]) -> FrozenSet[int]:
     return I
 
 
-def levi_positive_roots(rs: RootSystem, levi: Iterable[int]) -> FrozenSet[Root]:
-    """Positive roots supported inside the Levi subset."""
-    I = check_levi(rs, levi)
-    return frozenset(g for g in rs.positive_roots if g.support() <= I)
-
-
 # ---------------------------------------------------------------------------
 # Duality under the very special isogeny
 

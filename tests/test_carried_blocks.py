@@ -1,12 +1,13 @@
 """Differential test of the blocks a census carries out of its fold.
 
-`fano_census` certifies each row from the chain codes the census fold kept
-for it: those of the first block tuple, each catalog in chain order, that
-reaches the row.  Here the census of every query of a grid is checked to
-align one code tuple with each scheme, each row's codes, decoded at the nodes
-off the Levi, against `_generated_blocks`, which derives the generated blocks
-from the scheme alone, every row's Fano flag against `is_fano`, and every
-certified row against `not_fano_certificate`, which does the same.
+`fano_census` certifies each row, and `hasse_diagram` orders the rows, from
+the chain codes the census fold kept for it: those of the first block tuple,
+each catalog in chain order, that reaches the row.  Here the census of every
+query of a grid is checked to align one code tuple with each scheme, each
+row's codes against `_generated_blocks`, which derives the generated blocks'
+codes from the scheme alone, and, decoded at the nodes off the Levi, against
+the public `generated_block`, every row's Fano flag against `is_fano`, and
+every certified row against `not_fano_certificate`.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from parabolics import (
     CensusQuery,
     enumerate_parabolics,
     fano_census,
+    generated_block,
     is_fano,
     is_normalized,
     not_fano_certificate,
@@ -55,8 +57,9 @@ def test_carried_blocks_are_the_generated_blocks(label, p):
         nodes = [a for a, _ in _levi_split(q.system, q.levi)[2]]
         for P, codes in zip(schemes, carried):
             assert all(type(c) is int for c in codes), P
+            assert codes == tuple(_generated_blocks(P).values()), P
             blocks = tuple(map(_block_of, nodes, codes))
-            assert blocks == tuple(_generated_blocks(P).values()), P
+            assert blocks == tuple(generated_block(P, a) for a in nodes), P
             rows += 1
     assert rows > 0
 

@@ -453,6 +453,9 @@ def _pairwise_covers(schemes):
     ("F4", 3, (1, 2), 1, False),
     ("A3", 2, (), 2, True),
     ("C3", 2, (1, 3), 0, False),
+    ("G2", 2, (), 4, False),  # the exotic ties at a1, on the Borel, normalized, and at a1 alone
+    ("G2", 2, (), 4, True),
+    ("G2", 2, (2,), 4, False),
 ])
 def test_hasse_matches_pairwise_cover_relation(label, p, levi, M, normalized):
     d = hasse_diagram(q(label, p, levi, M, normalized))
@@ -461,16 +464,6 @@ def test_hasse_matches_pairwise_cover_relation(label, p, levi, M, normalized):
         assert len(d.schemes) == 1 and d.edges == ()
     else:
         assert d.edges
-
-
-def test_containment_bitsets_reject_mixed_primes():
-    from parabolics.errors import MismatchedSchemes
-    from parabolics.phi import _containment_bitsets
-
-    P2 = block_phi(B2, 2, rank_one_catalog(B2, 2, 1, 1)[0])
-    P3 = block_phi(B2, 3, rank_one_catalog(B2, 3, 1, 1)[0])
-    with pytest.raises(MismatchedSchemes):
-        _containment_bitsets([P2, P3])
 
 
 # ---------------------------------------------------------------------------

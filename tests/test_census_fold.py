@@ -15,16 +15,21 @@ from parabolics import (
     INFINITE,
     CensusQuery,
     RootSystemType,
+    anchored_candidates,
+    block_anchor_height,
     block_phi,
     enumerate_parabolics,
+    exotic_l_block,
     full_group_scheme,
     intersect,
     is_normalized,
     rank_one_catalog,
+    reconstruct,
     root_system,
 )
 from parabolics.phi import (
     BlockKind,
+    _block_kinds,
     _block_of,
     _block_vector,
     _catalog_size,
@@ -125,7 +130,7 @@ def test_packed_chain_lanes_decode_to_the_block_vectors(M, k):
             for packed, code in _packed_chain(rs, p, a, M):
                 raw = packed.to_bytes(len(rs.positive_roots) * k, "big")
                 lanes = [int.from_bytes(raw[i:i + k], "big") for i in range(0, len(raw), k)]
-                heights = _block_vector(rs, _block_of(a, code))[1]
+                heights = block_phi(rs, p, _block_of(a, code)).heights
                 assert tuple(INFINITE if v == inf else v for v in lanes) == heights
 
 
@@ -137,8 +142,9 @@ def test_chain_codes_read_back_the_block(label, p):
     exotic = (BlockKind.EXOTIC_H, BlockKind.EXOTIC_L)
     for a in range(1, rs.rank + 1):
         catalog = rank_one_catalog(rs, p, a, 5)
-        codes = [_chain_code(b) for b in catalog]
-        assert sorted(codes) == [_chain_code(b) for b in sorted(catalog, key=lambda b: b.m + b.top)]
+        codes = [_chain_code(b.kind, b.m) for b in catalog]
+        ordered = sorted(catalog, key=lambda b: b.m + b.top)
+        assert sorted(codes) == [_chain_code(b.kind, b.m) for b in ordered]
         assert len(set(codes)) == len(codes)
         for b, c in zip(catalog, codes):
             assert _block_of(a, c) == b
@@ -153,4 +159,20 @@ def test_packing_a_catalog_leaves_no_block_vector_per_bound():
     size, misses = _block_vector.cache_info().currsize, _packed_chain.cache_info().misses
     assert len(_packed_chain(rs, 2, 1, 4099)) == _catalog_size(rs, 2, 1, 4099)
     assert _packed_chain.cache_info().misses == misses + 1
+    assert _block_vector.cache_info().currsize == size
+
+
+def test_blocks_at_every_m_share_one_vector_per_kind():
+    # block_phi, block_anchor_height, the anchored chains and reconstruction
+    # form X(m) as X(0) plus m, so new heights add no _block_vector entry
+    rs = root_system("G2")
+    for kind in _block_kinds(rs, 2, 1):
+        _block_vector(rs, 1, kind)
+    size = _block_vector.cache_info().currsize
+    for m in range(50, 60):
+        for b in rank_one_catalog(rs, 2, 1, m)[-3:]:
+            assert block_anchor_height(rs, b) == block_phi(rs, 2, b).height(rs.simple_roots[0])
+        assert anchored_candidates(rs, 2, 1, m)
+        P = block_phi(rs, 2, exotic_l_block(m))
+        assert reconstruct(P) == P
     assert _block_vector.cache_info().currsize == size

@@ -225,6 +225,25 @@ def test_hostile_input_is_a_named_domain_error(argv, data, error, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["validate", "--prime", "2"], ["reconstruct", "--prime", "2"], ["fibrations", "--prime", "2"],
+    ["dual"],
+])
+def test_an_integer_past_the_conversion_limit_is_refused(command, tmp_path):
+    f = tmp_path / "scheme.json"
+    digits = sys.get_int_max_str_digits() + 700
+    f.write_text('{"type":"B2","prime":2,"levi":[],"phi":{"[1,0]":%s}}' % ("9" * digits))
+    proc = run_process(*command, "--type", "B2", "--input", str(f))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"InvalidScheme: scheme JSON holds an integer of more than "
+                           f"{sys.get_int_max_str_digits()} digits\n")
+    # malformed JSON still prints the decoder's own message
+    f.write_text('{"type":"B2","prime":2,"levi":[],"phi":{"[1,0]":1')
+    proc = run_process(*command, "--type", "B2", "--input", str(f))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "JSONDecodeError: Expecting ',' delimiter: line 1 column 50 (char 49)\n"
+
+
 @pytest.mark.parametrize("flags,error", [
     (["validate", "--type", "B3", "--prime", "3"], "--type B3"),
     (["validate", "--type", "B3", "--prime", "2"], "--type B3"),

@@ -1,7 +1,7 @@
 """What a Levi subset fixes, derived once: `phi._levi_split` and the Fano gate.
 
-`_levi_split` is checked against a reference built only from
-`levi_positive_roots`, `rs.index` and the root coefficients, on every Levi
+`_levi_split` is checked against a reference built only from the roots'
+supports, `rs.index` and the root coefficients, on every Levi
 subset (the empty and the full one included).  `fano_census` decides its
 certificate gate once per query and trusts the rows of a normalized_only
 query to be normalized; the cross-check ties those rows to the rows of the
@@ -17,7 +17,6 @@ from parabolics import (
     ParabolicScheme,
     fano_census,
     is_normalized,
-    levi_positive_roots,
     reduced_scheme,
     root_system,
 )
@@ -33,7 +32,7 @@ def subsets(rank):
 
 
 def reference_split(rs, levi):
-    inside = levi_positive_roots(rs, levi)
+    inside = {g for g in rs.positive_roots if g.support() <= levi}
     positions = sorted(rs.index[g] for g in rs.positive_roots if g not in inside)
     windows = tuple(
         (a, tuple(sorted(rs.index[g] for g in rs.positive_roots if g.coeffs[a - 1])))

@@ -9,7 +9,6 @@ from parabolics import (
     RootSystemType,
     find_incidence_root,
     levi_components,
-    levi_positive_roots,
     long_root_subsystem,
     root_system,
     very_special_dual,
@@ -149,20 +148,6 @@ def test_length_class_on_every_root(label, shorts):
 def test_simply_laced_all_long():
     a3 = root_system("A3")
     assert all(a3.length_class(g) == LONG for g in a3.positive_roots)
-
-
-def test_levi_positive_roots():
-    b2 = root_system("B2")
-    assert levi_positive_roots(b2, {2}) == {Root.of(0, 1)}
-    g2 = root_system("G2")
-    assert levi_positive_roots(g2, set()) == set()
-    f4 = root_system("F4")
-    got = levi_positive_roots(f4, {2, 3})
-    # oracle: filter the positive roots by support
-    expect = {g for g in f4.positive_roots if g.support() <= {2, 3}}
-    assert got == expect
-    assert got == {Root.of(0, 1, 0, 0), Root.of(0, 0, 1, 0),
-                   Root.of(0, 1, 1, 0), Root.of(0, 1, 2, 0)}
 
 
 def _shift(g: Root, d: Root, k: int) -> Root:

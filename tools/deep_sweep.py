@@ -1,5 +1,5 @@
-"""Deep sweep: the census equals the brute-force oracle, and carries the
-generated blocks, on a grid beyond Tier-1.
+"""Deep sweep: the census equals the brute-force oracle, carries the
+generated blocks, and orders them by chain code, on a grid beyond Tier-1.
 
     python3 tools/deep_sweep.py
 
@@ -10,33 +10,50 @@ at 6, for the primes 2 and 3, every Levi subset (the Borel and the whole
 group included) and both modes (all schemes, normalized only).  Each cell
 checks that the census (`_census(q)`, whose schemes `enumerate_parabolics`
 returns) equals `brute_force_enumerate(q)`, and that every row's carried
-chain codes, decoded at the nodes off the Levi, are the row's
-`_generated_blocks`; a cell that differs is named on stderr.  The script
-prints the cells, the oracle's candidates, the rows whose codes it checked
-and the seconds, and exits 1 on a mismatch.  The 272 cells take
-about 10 s on a 2-vCPU host.
+chain codes are the row's `_generated_blocks`.  On each cell of at most
+PAIR_LIMIT schemes (every cell here: the largest has 146) it also checks the
+Hasse containment bitsets, built from the carried codes
+(`_containment_bitsets`), against `contains` on every ordered pair of
+distinct schemes.  A cell that differs is named on stderr.  The script
+prints the cells, the oracle's candidates, the rows whose codes it checked,
+the pairs whose order it checked and the seconds, and exits 1 on a
+mismatch.  The 272 cells take 11-15 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from parabolics import CensusQuery, RootSystemType, brute_force_enumerate
+from parabolics import CensusQuery, RootSystemType, brute_force_enumerate, contains
 from parabolics.census import _census
-from parabolics.phi import _block_of, _generated_blocks, _levi_split
+from parabolics.phi import _containment_bitsets, _generated_blocks, _levi_split
 
 #: (type, height bound) of each system swept
 GRID = (("B4", 1), ("C4", 1), ("D4", 1), ("B3", 3), ("C3", 3), ("G2", 6))
 PRIMES = (2, 3)
+#: the most schemes of a cell whose ordered pairs are all checked against `contains`
+PAIR_LIMIT = 400
+
+
+def order_mismatches(schemes, codes) -> int:
+    """The ordered pairs of distinct schemes on which the code-order bitsets
+    and `contains` disagree."""
+    up, down = _containment_bitsets(codes)
+    bad = 0
+    for (i, Q), (j, P) in product(enumerate(schemes), repeat=2):
+        if i != j:
+            above = contains(P, Q)
+            bad += (up[i] >> j & 1) != above or (down[j] >> i & 1) != above
+    return bad
 
 
 def main() -> int:
-    cells = candidates = rows = mismatches = 0
+    cells = candidates = rows = pairs = mismatches = 0
     start = time.perf_counter()
     for label, M in GRID:
         rtype = RootSystemType.parse(label)
@@ -47,22 +64,23 @@ def main() -> int:
                     for normalized in (False, True):
                         q = CensusQuery(rtype, p, frozenset(levi), M, normalized)
                         cells += 1
-                        _, domain, windows = _levi_split(q.system, q.levi)
+                        domain = _levi_split(q.system, q.levi)[1]
                         candidates += (M + 1) ** len(domain)
                         schemes, carried = _census(q)
-                        off = [a for a, _ in windows]  # the nodes off the Levi
                         rows += len(schemes)
-                        carried_ok = all(
-                            tuple(map(_block_of, off, codes))
-                            == tuple(_generated_blocks(P).values())
-                            for P, codes in zip(schemes, carried))
-                        if not carried_ok or schemes != brute_force_enumerate(q):
+                        carried_ok = all(codes == tuple(_generated_blocks(P).values())
+                                         for P, codes in zip(schemes, carried))
+                        order_bad = 0
+                        if len(schemes) <= PAIR_LIMIT:
+                            order_bad = order_mismatches(schemes, carried)
+                            pairs += len(schemes) * (len(schemes) - 1)
+                        if not carried_ok or order_bad or schemes != brute_force_enumerate(q):
                             mismatches += 1
                             print(f"mismatch: {label} p={p} levi={list(levi)} M={M} "
                                   f"normalized={normalized}", file=sys.stderr)
     seconds = time.perf_counter() - start
-    print(f"{cells} cells, {candidates} candidates, {rows} rows' codes, {seconds:.1f} s, "
-          f"{mismatches} mismatches")
+    print(f"{cells} cells, {candidates} candidates, {rows} rows' codes, {pairs} ordered pairs, "
+          f"{seconds:.1f} s, {mismatches} mismatches")
     return 1 if mismatches else 0
 
 

@@ -76,14 +76,14 @@ MUTANTS = (
     ),
     Mutant(
         "census-catalog-order", PHI,
-        "return tuple(sorted(chain, key=itemgetter(1)))",
-        "return tuple(chain)",
+        "STANDARD)))\n    return tuple(sorted(chain, key=itemgetter(1)))",
+        "STANDARD)))\n    return tuple(chain)",
         ("tests/test_carried_blocks.py",),
         "the packed catalogs are in chain order, so the first tuple is the least",
     ),
     Mutant(
         "carry-drops-exotic", PHI,
-        "_chain_code(b) + 8 * m)", "(_chain_code(b) & ~2) + 8 * m)",
+        "(x + m * one, _chain_code(kind, m))", "(x + m * one, _chain_code(kind, m) & ~2)",
         ("tests/test_census.py",),
         "a carried exotic block keeps its exotic bit, so its row is not certified",
     ),
@@ -92,6 +92,18 @@ MUTANTS = (
         "P.p ** gap * den > num:", "P.p ** (gap + 1) * den > num:",
         ("tests/test_geometry.py",),
         "a cut passes when p**gap, not p**(gap + 1), exceeds the threshold",
+    ),
+    Mutant(
+        "hasse-key-ge", PHI,
+        "if w >> 2 > v >> 2 or w == v:", "if w >> 2 >= v >> 2 or w == v:",
+        ("tests/test_census.py",),
+        "ExoticH(m) and ExoticL(m) share a chain key and neither contains the other",
+    ),
+    Mutant(
+        "hasse-drops-same-block", PHI,
+        "v >> 2 or w == v:", "v >> 2:",
+        ("tests/test_census.py",),
+        "a block contains itself, so schemes with one block at a node compare there",
     ),
     Mutant(
         "lane-no-guard-bit", PHI,
