@@ -6,8 +6,8 @@ instead tries every height function up to the bound and keeps the
 reconstruction fixpoints.  Where the guard admits, the two must agree exactly.
 
 The oracle is independent of the fold: it never calls the packed kernel or
-the block catalogs, only is_valid's cover test (`_window_cover`) and
-`is_normalized`.  The cover test at a node reads only the candidate's
+the block catalogs, only is_valid's cover test (`_anchored`, `_window_cover`)
+and `is_normalized`.  The cover test at a node reads only the candidate's
 heights on the node's window, so each call tables it per node, from window
 heights to the roots hit; a candidate then costs a dict lookup per node
 and an OR (about 1-3 us, against 4-7 us through `is_valid`), and only the
@@ -32,6 +32,7 @@ from .phi import (
     Height,
     ParabolicScheme,
     RankOneBlock,
+    _anchored,
     _catalog,
     _catalog_size,
     _census_meets,
@@ -117,19 +118,18 @@ def _census(q: CensusQuery) -> Tuple[Tuple[ParabolicScheme, ...], Tuple[Tuple[in
 
 
 class _CoverMasks(dict):
-    """One node's cover test, tabled for one oracle call.  It maps the node's
-    window heights (a scalar for a one-root window) to the int mask of the
-    domain roots its cover hits, or to -1 where no anchored candidate covers
-    them; -1 absorbs the OR over the nodes.  A miss runs _window_cover."""
+    """One node's cover test, tabled for one oracle call: the node's window heights (a
+    scalar for a one-root window) to the int mask of the domain roots its cover hits, 0
+    where none covers (the node's own root, in no other window, then stays unhit).  A miss
+    runs _window_cover on the anchored candidates at its anchor, listed per height 0..M."""
 
-    def __init__(self, rs: RootSystem, p: int, alpha: int, bits: Sequence[int]):
-        super().__init__()
-        self.rs, self.p, self.alpha, self.bits = rs, p, alpha, bits
+    def __init__(self, rs: RootSystem, p: int, alpha: int, bits: Sequence[int], M: int):
+        self.bits, self.chains = bits, [_anchored(rs, p, alpha, a) for a in range(M + 1)]
 
-    def __missing__(self, hw) -> int:
-        cover = _window_cover(self.rs, self.p, self.alpha, hw if type(hw) is tuple else (hw,))
-        mask = self[hw] = -1 if cover is None else sum(itertools.compress(self.bits, cover[1]))
-        return mask
+    def __missing__(self, key) -> int:
+        hw = key if type(key) is tuple else (key,)
+        hits = _window_cover(self.chains[hw[0]], hw)[1]
+        return self.setdefault(key, sum(itertools.compress(self.bits, hits)))
 
 
 def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
@@ -145,7 +145,7 @@ def brute_force_enumerate(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     # a window lies in the domain, so a candidate's heights on it are read off
     # its values; the cover test at a node reads only those (is_valid's rule)
     at = {i: j for j, i in enumerate(domain)}
-    nodes = [(_CoverMasks(rs, q.p, alpha, [1 << at[i] for i in window]),
+    nodes = [(_CoverMasks(rs, q.p, alpha, [1 << at[i] for i in window], q.max_height),
               itemgetter(*map(at.get, window))) for alpha, window in windows]
     full = (1 << len(domain)) - 1
     heights: List[Height] = [INFINITE] * len(rs.positive_roots)

@@ -77,6 +77,13 @@ def _unique_keys(pairs: List[tuple]) -> dict:
     return data
 
 
+def _bounded_int(text: str) -> int:
+    """json.loads parse_int, refusing the int-string limit's digits: a height + 1 prints."""
+    if 0 < sys.get_int_max_str_digits() <= len(text.lstrip("-")):
+        raise ValueError(text)
+    return int(text)
+
+
 def _load_scheme(args) -> ParabolicScheme:
     path = args.input
     try:
@@ -85,16 +92,16 @@ def _load_scheme(args) -> ParabolicScheme:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        data = json.loads(raw, object_pairs_hook=_unique_keys)
+        data = json.loads(raw, object_pairs_hook=_unique_keys, parse_int=_bounded_int)
     except UnicodeDecodeError as exc:
         raise InvalidScheme(f"scheme input is not UTF-8: {exc}") from None
     except RecursionError:
         raise InvalidScheme("scheme JSON is nested too deeply") from None
     except (json.JSONDecodeError, ParabolicsError):
         raise  # run prints them as they stand
-    except ValueError:  # an integer past the int-string conversion limit
+    except ValueError:  # an integer at the int-string conversion limit
         limit = sys.get_int_max_str_digits()
-        raise InvalidScheme(f"scheme JSON holds an integer of more than {limit} digits") from None
+        raise InvalidScheme(f"scheme JSON holds an integer of {limit} digits or more") from None
     if not isinstance(data, dict):
         raise InvalidScheme("scheme JSON must be an object")
     prime = getattr(args, "prime", None)

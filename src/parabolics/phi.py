@@ -8,9 +8,9 @@ holding the sentinel INFINITE exactly on the Levi roots.  Containment of
 schemes is pointwise comparison of the vectors, intersection is pointwise
 minimum.  The layout is public, as the README documents it: other modules
 read `heights` and build height vectors directly.  The private census kernel
-reads each catalog packed once (`_packed_chain`) into ints of k-byte lanes:
-first root most significant, each lane's top bit a zero guard bit, INFINITE
-all its other bits, k set by the height bound (`_lane_masks`).
+packs blocks into ints of k-byte lanes, k set by the height bound: first root
+most significant, each lane's top bit a zero guard bit, INFINITE all its
+other bits (`_lane_masks`).
 
 Every scheme is an intersection of rank-one blocks, one anchored at each
 simple root off the Levi.  The block catalog at a simple root alpha:
@@ -31,13 +31,13 @@ most M.  The chain key m + top orders blocks along their kernel chain
 Standard(0) < X(0) < Standard(1) < X(1) < ....  Inside the package a block at
 a node is one small int, its chain code (`_chain_code`), which sorts in chain
 order and gives m, top and the exotic bit by shifts; a `RankOneBlock` is
-built (`_block_of`) only where one is returned or printed.  `_block_vector`
-caches the heights of X(0) on the node's window, one vector per kind, and
-X(m) is X(0) plus m there and INFINITE elsewhere (`_meet`).  `_chain` caches
-the anchored candidates per node and anchor height, and `_packed_chain` the
-packed catalogs with their codes per height bound.  Per Levi subset,
-`_levi_split` caches the roots off it, their positions and the window of
-each node, and `_row_format` the templates of every writer.
+built (`_block_of`) only where one is returned or printed.  No block cache is
+keyed by a height: X(m) is X(0) plus m on the node's window and INFINITE
+elsewhere, formed where it is used from X(0), which is cached per kind as its
+window heights (`_block_vector`), less its anchor height in the node's chain
+(`_chain`), and packed per lane width (`_packed_kinds`).  Per Levi subset,
+`_levi_split` caches the roots off it, their positions and the window of each
+node, and `_row_format` the templates of every writer.
 
 Reconstruction meets the generated block at each node, the least anchored
 candidate containing the scheme; a height function is valid exactly when
@@ -575,29 +575,24 @@ def _containment_bitsets(codes: Sequence[Tuple[int, ...]]) -> Tuple[List[int], L
 
 
 @lru_cache(maxsize=None)
-def _lane_masks(rs: RootSystem, max_height: int) -> Tuple[int, int, int]:
-    """The lane width k in bytes, room for heights up to max_height, INFINITE
-    and a guard bit; the guard bits of every lane, and of the short-root lanes."""
-    k = ((max_height + 1).bit_length() + 8) // 8
+def _lane_masks(rs: RootSystem, k: int) -> Tuple[int, int]:
+    """The guard bits of every k-byte lane, and of the short-root lanes."""
     lane = b"\x80".ljust(k, b"\0")
     short = b"".join(lane if s else bytes(k) for s in rs.short)
-    return k, int.from_bytes(lane * len(rs.short), "big"), int.from_bytes(short, "big")
+    return int.from_bytes(lane * len(rs.short), "big"), int.from_bytes(short, "big")
 
 
 @lru_cache(maxsize=None)
-def _packed_chain(rs: RootSystem, p: int, alpha: int, max_height: int) -> Tuple[Tuple, ...]:
-    """(packed vector, _chain_code) of each _catalog block, in chain order, in the
-    lanes of _lane_masks(rs, max_height).  X(m) packs as X(0) plus m on its
-    window (its top is m + X(0).top)."""
-    k = _lane_masks(rs, max_height)[0]
-    inf, chain = (1 << 8 * k - 1) - 1, []
+def _packed_kinds(rs: RootSystem, p: int, alpha: int, k: int) -> Tuple[Tuple, ...]:
+    """(packed X(0), its ones on alpha's window, _chain_code, top) of each kind at
+    alpha, in catalog order, in k-byte lanes: X(m) packs as X(0) plus m ones."""
+    inf, kinds = (1 << 8 * k - 1) - 1, []
     for kind in _block_kinds(rs, p, alpha):
-        x = one = 0
-        for v in _meet(rs, p, {alpha: _chain_code(kind, 0)}).heights:  # the first root leads
+        x, one, c = 0, 0, _chain_code(kind, 0)
+        for v in _meet(rs, p, {alpha: c}).heights:  # the first root leads
             x, one = x << 8 * k | (inf if v is INFINITE else v), one << 8 * k | (v is not INFINITE)
-        chain += ((x + m * one, _chain_code(kind, m))
-                  for m in range(max_height + (kind is BlockKind.STANDARD)))
-    return tuple(sorted(chain, key=itemgetter(1)))
+        kinds.append((x, one, c, c + 4 >> 3))
+    return tuple(kinds)
 
 
 def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], nodes: Sequence[int],
@@ -606,14 +601,17 @@ def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], nodes: Sequence[
     order), sorted by heights, and aligned with them their generated blocks' chain
     codes: the first tuple to reach a meet, each catalog in chain order and the
     partial meets in the order first reached, i.e. the lexicographically least."""
-    k, H, short = _lane_masks(rs, max_height)
+    k = ((max_height + 1).bit_length() + 8) // 8  # heights to max_height, INFINITE, a guard bit
+    H, short = _lane_masks(rs, k)
     g, low = 8 * k - 1, H >> 8 * k - 1
     inf = (1 << g) - 1  # the INFINITE lane
     # normalized: a zero lane; a short one under the edge (the top short root is never Levi)
     sel = normalized_only and (short if edge_hypothesis(rs, p) else H)
     tuples: Dict[int, Tuple[int, ...]] = {H - low: ()}  # the full group
     for i, alpha in enumerate(nodes, 1):
-        chain = _packed_chain(rs, p, alpha, max_height)
+        kinds = _packed_kinds(rs, p, alpha, k)  # the catalog, m outer: chain order
+        chain = [(x + m * one, c + 8 * m) for m in range(max_height + 1)
+                 for x, one, c, top in kinds if m + top <= max_height]
         meets: Dict[int, Tuple[int, ...]] = {}
         # the normalized filter, at the last node, where the meets are whole
         drop = sel and i == len(nodes)
@@ -642,48 +640,43 @@ def anchored_candidates(
     rs: RootSystem, p: int, alpha: int, anchor: int
 ) -> Tuple[RankOneBlock, ...]:
     """Catalog blocks at alpha whose height on alpha equals `anchor`, in
-    increasing containment order (_chain); a bool or float node or anchor is refused."""
-    chain = _chain(rs, p, _check_int(alpha), _check_int(anchor))
+    increasing containment order (_anchored); a bool or float node or anchor is refused."""
+    chain = _anchored(rs, p, _check_int(alpha), _check_int(anchor))
     return tuple(_block_of(alpha, c) for _, c in chain)
 
 
 @lru_cache(maxsize=None)
-def _chain(rs: RootSystem, p: int, alpha: int, anchor: int) -> Tuple[Tuple, ...]:
-    """(window heights, _chain_code) of each catalog block at alpha whose height on
-    alpha equals `anchor`, in increasing containment order: a chain, as Standard(m)
-    lies in X(m), and X(m) in Standard(m+1), for every other kind X.  The cache is
-    untyped: callers pass int nodes and anchors."""
-    chain = []
-    for kind in _block_kinds(rs, p, alpha):
-        h = _block_vector(rs, alpha, kind)
-        m = anchor - h[0]  # X(m) is X(0) plus m, and the anchor leads the window
-        if m >= 0:
-            chain.append((tuple(v + m for v in h), _chain_code(kind, m)))
-    return tuple(sorted(chain, key=itemgetter(1)))
+def _chain(rs: RootSystem, p: int, alpha: int) -> Tuple[Tuple, ...]:
+    """(window heights less t, t, _chain_code) of X(0) for each kind X at alpha, where t
+    is X(0)'s anchor height.  At anchor a >= t the kind's candidate is X(a - t), code
+    c + 8(a - t), so the order by c - 8t is the chain at every anchor: Standard(m) lies
+    in X(m), and X(m) in Standard(m+1).  The cache is untyped: callers pass int nodes."""
+    vectors = [(_block_vector(rs, alpha, x), _chain_code(x, 0)) for x in _block_kinds(rs, p, alpha)]
+    chain = [(tuple(v - h[0] for v in h), h[0], c) for h, c in vectors]  # the anchor leads h
+    return tuple(sorted(chain, key=lambda e: e[2] - 8 * e[1]))
 
 
-def _window_cover(rs: RootSystem, p: int, alpha: int, hw: Tuple[int, ...]) -> Optional[Tuple]:
-    """The cover test at alpha over hw, a scheme's heights on alpha's window
-    (anchor first): the _chain entry of the first anchored candidate
-    containing it and the window roots where the two are equal, or None.
-    A block is INFINITE off its window, and the scheme is finite on it
-    (alpha is off the Levi), so containment is an int comparison there."""
-    for entry in _chain(rs, p, alpha, hw[0]):
-        if all(map(ge, entry[0], hw)):
-            return entry, tuple(map(eq, entry[0], hw))
-    return None
+def _anchored(rs: RootSystem, p: int, alpha: int, a: int) -> List[Tuple]:
+    """(window heights, _chain_code) of X(a - t) at alpha, each kind with t <= a, in chain order."""
+    return [(tuple([v + a for v in rel]), c + 8 * (a - t))
+            for rel, t, c in _chain(rs, p, alpha) if t <= a]
 
 
-def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Optional[Tuple]:
-    """_window_cover(P's heights on the window) for the scheme P."""
-    return _window_cover(P.rs, P.p, alpha, tuple(map(P.heights.__getitem__, window)))
+def _window_cover(chain: List[Tuple], hw: Tuple[int, ...]) -> Tuple[int, Tuple]:
+    """The cover test over hw, a scheme's heights on a node's window (anchor first), by the
+    node's anchored candidates at hw[0] (_anchored): the first that contains hw, as its code
+    and the window roots where the two are equal, else the last one's code and no roots.  A
+    block is INFINITE off its window and the scheme finite on it, so this compares ints."""
+    for h, c in chain:
+        if all(map(ge, h, hw)):
+            return c, tuple(map(eq, h, hw))
+    return chain[-1][1], ()
 
 
-def _generated(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> int:
-    """The chain code of the generated block at alpha: the first candidate
-    containing P, else the last."""
-    cover = _covering(P, alpha, window)
-    return (cover[0] if cover else _chain(P.rs, P.p, alpha, P.heights[window[0]])[-1])[1]
+def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Tuple[int, Tuple]:
+    """_window_cover over P's heights on the window: its code is P's generated block."""
+    hw = tuple(map(P.heights.__getitem__, window))
+    return _window_cover(_anchored(P.rs, P.p, alpha, hw[0]), hw)
 
 
 def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
@@ -698,12 +691,12 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     """
     if _check_int(alpha) in P.levi or not 1 <= alpha <= P.rs.rank:
         raise InvalidScheme(f"a{alpha} is not outside the Levi {sorted(P.levi)}")
-    return _block_of(alpha, _generated(P, alpha, dict(_levi_split(P.rs, P.levi)[2])[alpha]))
+    return _block_of(alpha, _covering(P, alpha, dict(_levi_split(P.rs, P.levi)[2])[alpha])[0])
 
 
 def _generated_blocks(P: ParabolicScheme) -> Dict[int, int]:
     """The chain code of the generated block at each simple root off the Levi, by node."""
-    return {a: _generated(P, a, w) for a, w in _levi_split(P.rs, P.levi)[2]}
+    return {a: _covering(P, a, w)[0] for a, w in _levi_split(P.rs, P.levi)[2]}
 
 
 def reconstruct(P: ParabolicScheme) -> ParabolicScheme:
@@ -719,10 +712,10 @@ def _is_cover(P: ParabolicScheme) -> bool:
     hit = set()
     _, positions, windows = _levi_split(P.rs, P.levi)
     for alpha, window in windows:
-        cover = _covering(P, alpha, window)
-        if cover is None:
+        hits = _covering(P, alpha, window)[1]
+        if not hits:  # a fallback
             return False
-        hit.update(compress(window, cover[1]))
+        hit.update(compress(window, hits))
     return len(hit) == len(positions)
 
 

@@ -195,7 +195,7 @@ def test_brute_force_never_reaches_the_census_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle reached the census kernel")
 
-    for module, name in [(parabolics.phi, "_census_meets"), (parabolics.phi, "_packed_chain"),
+    for module, name in [(parabolics.phi, "_census_meets"), (parabolics.phi, "_packed_kinds"),
                          (parabolics.phi, "_catalog"), (parabolics.phi, "_lane_masks"),
                          (parabolics.census, "_census_meets"), (parabolics.census, "_catalog"),
                          (parabolics.census, "rank_one_catalog")]:

@@ -15,27 +15,27 @@ from parabolics import (
     INFINITE,
     CensusQuery,
     RootSystemType,
+    ParabolicScheme,
     anchored_candidates,
-    block_anchor_height,
     block_phi,
     enumerate_parabolics,
-    exotic_l_block,
     full_group_scheme,
+    generated_block,
     intersect,
     is_normalized,
+    is_valid,
     rank_one_catalog,
     reconstruct,
     root_system,
+    standard_block,
 )
+import parabolics.phi
 from parabolics.phi import (
     BlockKind,
-    _block_kinds,
     _block_of,
-    _block_vector,
     _catalog_size,
     _chain_code,
-    _lane_masks,
-    _packed_chain,
+    _packed_kinds,
 )
 
 
@@ -111,27 +111,32 @@ def test_kernel_matches_tuple_fold_on_random_queries(label, p, levi, M, normaliz
 
 @pytest.mark.parametrize("label,p", [("A2", 2), ("B2", 2), ("C3", 2), ("G2", 2), ("G2", 3)])
 def test_packed_chain_is_the_catalog_in_chain_order(label, p):
+    # the census builds each node's chain from _packed_kinds, m outer and catalog
+    # order inside, and never sorts it: that order must be the chain order
     rs = root_system(label)
     for a, M in itertools.product(range(1, rs.rank + 1), range(4)):
-        chain = _packed_chain(rs, p, a, M)
-        assert all(type(c) is int for _, c in chain)
-        assert [_block_of(a, c) for _, c in chain] == sorted(
+        kinds = _packed_kinds(rs, p, a, 1)
+        assert all(top == _block_of(a, c).top and c >> 3 == 0 for _, _, c, top in kinds)
+        codes = [c + 8 * m for m in range(M + 1) for _, _, c, top in kinds if m + top <= M]
+        assert [_block_of(a, c) for c in codes] == sorted(
             rank_one_catalog(rs, p, a, M), key=lambda b: b.m + b.top)
-        assert len(chain) == _catalog_size(rs, p, a, M)
+        assert len(codes) == _catalog_size(rs, p, a, M)
 
 
 @pytest.mark.parametrize("M,k", [(126, 1), (127, 2)])
 def test_packed_chain_lanes_decode_to_the_block_vectors(M, k):
+    # X(m) packs as X(0) plus m ones on the window, up to the largest bound of k-byte lanes
+    inf = (1 << 8 * k - 1) - 1  # the all-ones lane below its zero guard bit
+    assert M < inf
     for label, p in [("B2", 2), ("G2", 2)]:
         rs = root_system(label)
-        assert _lane_masks(rs, M)[0] == k
-        inf = (1 << 8 * k - 1) - 1  # the all-ones lane below its zero guard bit
         for a in range(1, rs.rank + 1):
-            for packed, code in _packed_chain(rs, p, a, M):
-                raw = packed.to_bytes(len(rs.positive_roots) * k, "big")
-                lanes = [int.from_bytes(raw[i:i + k], "big") for i in range(0, len(raw), k)]
-                heights = block_phi(rs, p, _block_of(a, code)).heights
-                assert tuple(INFINITE if v == inf else v for v in lanes) == heights
+            for x, one, c, top in _packed_kinds(rs, p, a, k):
+                for m in range(M + 1 - top):
+                    raw = (x + m * one).to_bytes(len(rs.positive_roots) * k, "big")
+                    lanes = [int.from_bytes(raw[i:i + k], "big") for i in range(0, len(raw), k)]
+                    heights = block_phi(rs, p, _block_of(a, c + 8 * m)).heights
+                    assert tuple(INFINITE if v == inf else v for v in lanes) == heights
 
 
 @pytest.mark.parametrize("label,p", [("B3", 2), ("G2", 2), ("G2", 3), ("A2", 5)])
@@ -151,28 +156,35 @@ def test_chain_codes_read_back_the_block(label, p):
             assert (c >> 3, c + 4 >> 3, bool(c & 2)) == (b.m, b.top, b.kind in exotic)
 
 
-def test_packing_a_catalog_leaves_no_block_vector_per_bound():
-    # the X(0) vectors of each kind are shared by every bound; packing at a
-    # new bound adds no _block_vector entry
-    rs = root_system("G2")
-    _packed_chain(rs, 2, 1, 3)
-    size, misses = _block_vector.cache_info().currsize, _packed_chain.cache_info().misses
-    assert len(_packed_chain(rs, 2, 1, 4099)) == _catalog_size(rs, 2, 1, 4099)
-    assert _packed_chain.cache_info().misses == misses + 1
-    assert _block_vector.cache_info().currsize == size
+def _phi_cache_sizes():
+    return {name: f.cache_info().currsize for name, f in vars(parabolics.phi).items()
+            if hasattr(f, "cache_info")}
 
 
-def test_blocks_at_every_m_share_one_vector_per_kind():
-    # block_phi, block_anchor_height, the anchored chains and reconstruction
-    # form X(m) as X(0) plus m, so new heights add no _block_vector entry
-    rs = root_system("G2")
-    for kind in _block_kinds(rs, 2, 1):
-        _block_vector(rs, 1, kind)
-    size = _block_vector.cache_info().currsize
-    for m in range(50, 60):
-        for b in rank_one_catalog(rs, 2, 1, m)[-3:]:
-            assert block_anchor_height(rs, b) == block_phi(rs, 2, b).height(rs.simple_roots[0])
-        assert anchored_candidates(rs, 2, 1, m)
-        P = block_phi(rs, 2, exotic_l_block(m))
-        assert reconstruct(P) == P
-    assert _block_vector.cache_info().currsize == size
+def test_no_phi_cache_grows_with_heights_anchors_or_bounds():
+    # every block-layer cache is keyed by values bounded per system: X(m) is
+    # formed from X(0) where it is used, so once the caches are warm, blocks,
+    # anchored chains, validity, reconstruction and censuses at new anchors and
+    # height bounds add no entry to any functools cache in phi
+    def work(anchors, bounds):
+        for label in ("A1", "G2"):
+            rs = root_system(label)
+            a1 = rs.simple_roots[0]
+            for a in anchors:
+                chain = anchored_candidates(rs, 2, 1, a)
+                for b in chain:
+                    P = block_phi(rs, 2, b)
+                    assert is_valid(P) and reconstruct(P) == P and generated_block(P, 1) == b
+                    if rs.rank == 2:  # a Borel meet, and a scheme no candidate contains
+                        Q = intersect(P, block_phi(rs, 2, standard_block(2, a)))
+                        assert is_valid(Q) and reconstruct(Q) == Q
+                        R = ParabolicScheme(rs, 2, P.levi, {
+                            g: v + 3 * (g != a1) for g, v in P.phi_items()})
+                        assert not is_valid(R) and generated_block(R, 1) == chain[-1]
+            for M in bounds:
+                enumerate_parabolics(CensusQuery(rs.rtype, 2, frozenset(), M))
+
+    work(range(2), range(1, 3))
+    sizes = _phi_cache_sizes()
+    work(range(201), range(1, 61))
+    assert _phi_cache_sizes() == sizes

@@ -231,12 +231,19 @@ def test_hostile_input_is_a_named_domain_error(argv, data, error, tmp_path):
 ])
 def test_an_integer_past_the_conversion_limit_is_refused(command, tmp_path):
     f = tmp_path / "scheme.json"
-    digits = sys.get_int_max_str_digits() + 700
-    f.write_text('{"type":"B2","prime":2,"levi":[],"phi":{"[1,0]":%s}}' % ("9" * digits))
+    limit = sys.get_int_max_str_digits()
+    four = '{"type":"B2","prime":2,"levi":[],"phi":{"[1,0]":%s,"[0,1]":%s,"[1,1]":%s,"[1,2]":%s}}'
+    refusal = f"InvalidScheme: scheme JSON holds an integer of {limit} digits or more\n"
+    # past the limit, and at it: dual's pull-back adds 1, which takes limit nines past it
+    for text in ('{"type":"B2","prime":2,"levi":[],"phi":{"[1,0]":%s}}' % ("9" * (limit + 700)),
+                 four % (("9" * limit,) * 4)):
+        f.write_text(text)
+        proc = run_process(*command, "--type", "B2", "--input", str(f))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", refusal)
+    # one digit fewer loads, and every command prints its result
+    f.write_text(four % (("9" * (limit - 1),) * 4))
     proc = run_process(*command, "--type", "B2", "--input", str(f))
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == (f"InvalidScheme: scheme JSON holds an integer of more than "
-                           f"{sys.get_int_max_str_digits()} digits\n")
+    assert (proc.returncode, proc.stderr) == (0, "") and proc.stdout
     # malformed JSON still prints the decoder's own message
     f.write_text('{"type":"B2","prime":2,"levi":[],"phi":{"[1,0]":1')
     proc = run_process(*command, "--type", "B2", "--input", str(f))

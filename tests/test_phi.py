@@ -15,6 +15,7 @@ from parabolics import (
     Root,
     RootSystemType,
     anchored_candidates,
+    block_anchor_height,
     block_phi,
     contains,
     edge_hypothesis,
@@ -228,8 +229,6 @@ def test_exotic_blocks_only_g2_char2_short_node():
 
 
 def test_block_anchor_height_matches_table():
-    from parabolics import block_anchor_height
-
     cases = [(B2, 2, 1), (B2, 2, 2), (G2, 3, 1), (G2, 3, 2), (G2, 2, 1)]
     for rs, p, a in cases:
         for b in rank_one_catalog(rs, p, a, 3):
@@ -790,6 +789,22 @@ def test_anchored_candidates_reject_alpha_outside_the_rank():
             anchored_candidates(B2, 2, alpha, 1)
     assert [str(b) for b in anchored_candidates(B2, 2, 2, 1)] == \
         ["VerySpecial(0)@a2", "Standard(1)@a2"]
+
+
+@pytest.mark.parametrize("label,p", [("G2", 2), ("G2", 3), ("B2", 2), ("C3", 2)])
+def test_anchored_candidates_are_the_catalog_blocks_at_that_anchor_in_chain_order(label, p):
+    # independent of the per-node table: the catalog blocks whose anchor height
+    # is a, by (chain key, catalog place), each containing the one before; this
+    # covers kinds whose X(0) has anchor height 1 (ExoticL, VerySpecial at a short node)
+    rs, kinds = root_system(label), list(BlockKind)
+    for alpha, a in itertools.product(range(1, rs.rank + 1), range(13)):
+        expected = sorted((b for b in rank_one_catalog(rs, p, alpha, 13)
+                           if block_anchor_height(rs, b) == a),
+                          key=lambda b: (b.m + b.top, kinds.index(b.kind)))
+        got = anchored_candidates(rs, p, alpha, a)
+        assert list(got) == expected
+        for lo, hi in zip(got, got[1:]):
+            assert contains(block_phi(rs, p, hi), block_phi(rs, p, lo))
 
 
 #: block, root, node, twist and height-bound inputs that int() or an untyped

@@ -76,14 +76,14 @@ MUTANTS = (
     ),
     Mutant(
         "census-catalog-order", PHI,
-        "STANDARD)))\n    return tuple(sorted(chain, key=itemgetter(1)))",
-        "STANDARD)))\n    return tuple(chain)",
+        "for m in range(max_height + 1)\n                 for x, one, c, top in kinds if",
+        "for x, one, c, top in kinds\n                 for m in range(max_height + 1) if",
         ("tests/test_carried_blocks.py",),
         "the packed catalogs are in chain order, so the first tuple is the least",
     ),
     Mutant(
         "carry-drops-exotic", PHI,
-        "(x + m * one, _chain_code(kind, m))", "(x + m * one, _chain_code(kind, m) & ~2)",
+        "(x + m * one, c + 8 * m)", "(x + m * one, c + 8 * m & ~2)",
         ("tests/test_census.py",),
         "a carried exotic block keeps its exotic bit, so its row is not certified",
     ),
@@ -114,21 +114,25 @@ MUTANTS = (
     ),
     Mutant(
         "cover-without-a", PHI,
-        "    return None\n\n\ndef _covering",
-        "    return entry, tuple(map(eq, entry[0], hw))\n\n\ndef _covering",
+        "[1], ()\n", "[1], tuple(map(eq, h, hw))\n",
         ("tests/test_phi.py",),
         "(a): a node with no anchored candidate containing P makes P invalid",
     ),
     Mutant(
         "cover-without-b", PHI,
-        "return entry, tuple(map(eq, entry[0], hw))",
-        "return entry, tuple(map(ge, entry[0], hw))",
+        "return c, tuple(map(eq, h, hw))", "return c, tuple(map(ge, h, hw))",
         ("tests/test_phi.py",),
         "(b): a cover hits the window roots where it equals P, not every root it dominates",
     ),
     Mutant(
+        "anchored-order-ignores-anchor-height", PHI,
+        "key=lambda e: e[2] - 8 * e[1])", "key=lambda e: e[2])",
+        ("tests/test_phi.py",),
+        "a kind whose X(0) has anchor height t sits at code - 8t in the per-node chain",
+    ),
+    Mutant(
         "oracle-hit-mask-ge", CENSUS,
-        "sum(itertools.compress(self.bits, cover[1]))", "sum(self.bits)",
+        "sum(itertools.compress(self.bits, hits))", "sum(self.bits)",
         ("tests/test_census.py",),
         "the oracle's hit mask keeps the cover's equal roots, not all it dominates (ge)",
     ),
@@ -140,8 +144,7 @@ MUTANTS = (
     ),
     Mutant(
         "generated-fallback-first", PHI,
-        "else _chain(P.rs, P.p, alpha, P.heights[window[0]])[-1]",
-        "else _chain(P.rs, P.p, alpha, P.heights[window[0]])[0]",
+        "return chain[-1][1]", "return chain[0][1]",
         ("tests/test_phi.py",),
         "with no containing candidate the generated block falls back to the largest",
     ),
@@ -204,7 +207,7 @@ def main() -> int:
         return 1
     tests = sorted({t for m in MUTANTS for t in m.tests})
     code, seconds = run_tests(tests)
-    print(f"{'clean' if code == 0 else 'FAILED':<8} {'(no mutant)':<28} {seconds:5.1f} s  "
+    print(f"{'clean' if code == 0 else 'FAILED':<8} {'(no mutant)':<36} {seconds:5.1f} s  "
           f"{' '.join(tests)}", flush=True)
     if code != 0:
         print("the mutants' tests fail on the unmutated copy", file=sys.stderr)
@@ -213,7 +216,7 @@ def main() -> int:
     for m in MUTANTS:
         code, seconds = run_tests(m.tests, m)
         verdict = {1: "killed", 0: "SURVIVED"}.get(code, f"ERROR (pytest exit {code})")
-        print(f"{verdict:<8} {m.name:<28} {seconds:5.1f} s  {m.reason}", flush=True)
+        print(f"{verdict:<8} {m.name:<36} {seconds:5.1f} s  {m.reason}", flush=True)
         if code != 1:
             failed.append(m.name)
     print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed")
