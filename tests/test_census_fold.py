@@ -17,8 +17,10 @@ from parabolics import (
     RootSystemType,
     ParabolicScheme,
     anchored_candidates,
+    block_anchor_height,
     block_phi,
     enumerate_parabolics,
+    exotic_l_block,
     full_group_scheme,
     generated_block,
     intersect,
@@ -32,8 +34,11 @@ from parabolics import (
 import parabolics.phi
 from parabolics.phi import (
     BlockKind,
+    _block_kinds,
     _block_of,
+    _block_vector,
     _catalog_size,
+    _census_meets,
     _chain_code,
     _packed_kinds,
 )
@@ -154,6 +159,37 @@ def test_chain_codes_read_back_the_block(label, p):
         for b, c in zip(catalog, codes):
             assert _block_of(a, c) == b
             assert (c >> 3, c + 4 >> 3, bool(c & 2)) == (b.m, b.top, b.kind in exotic)
+
+
+def test_packing_a_catalog_leaves_no_block_vector_per_bound():
+    # the X(0) vectors of each kind are shared by every bound, and the packed
+    # kinds are keyed by lane width: a new bound adds no _block_vector entry,
+    # and a new packing only where the bound needs wider lanes
+    rs = root_system("G2")
+    _census_meets(rs, 2, frozenset({2}), [1], 3, False)
+    size, misses = _block_vector.cache_info().currsize, _packed_kinds.cache_info().misses
+    for M in (4099, 4100, 126, 7):  # 2-byte lanes, then the 1-byte lanes of M = 3
+        schemes, codes = _census_meets(rs, 2, frozenset({2}), [1], M, False)
+        assert len(schemes) == _catalog_size(rs, 2, 1, M)
+        assert {_block_of(1, c) for (c,) in codes} == set(rank_one_catalog(rs, 2, 1, M))
+        assert _packed_kinds.cache_info().misses <= misses + 1
+    assert _block_vector.cache_info().currsize == size
+
+
+def test_blocks_at_every_m_share_one_vector_per_kind():
+    # block_phi, block_anchor_height, the anchored chains and reconstruction
+    # form X(m) as X(0) plus m, so new heights add no _block_vector entry
+    rs = root_system("G2")
+    for kind in _block_kinds(rs, 2, 1):
+        _block_vector(rs, 1, kind)
+    size = _block_vector.cache_info().currsize
+    for m in range(50, 60):
+        for b in rank_one_catalog(rs, 2, 1, m)[-3:]:
+            assert block_anchor_height(rs, b) == block_phi(rs, 2, b).height(rs.simple_roots[0])
+        assert anchored_candidates(rs, 2, 1, m)
+        P = block_phi(rs, 2, exotic_l_block(m))
+        assert reconstruct(P) == P
+    assert _block_vector.cache_info().currsize == size
 
 
 def _phi_cache_sizes():
