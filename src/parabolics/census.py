@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidScheme, SearchSpaceTooLarge
-from .geometry import NotFanoCertificate, _certificate, _is_fano, _weights
+from .geometry import NotFanoCertificate, _certificate, _columns, _is_fano, _least_gap, _weights
 from .phi import (
     INFINITE,
     Height,
@@ -68,6 +68,8 @@ class CensusQuery:
         if _check_int(self.max_height) < 0:
             raise InvalidScheme("max_height must be >= 0")
         object.__setattr__(self, "levi", check_levi(self.system, self.levi))
+        if type(self.normalized_only) is not bool:
+            raise InvalidScheme(f"normalized_only must be a bool, not {self.normalized_only!r}")
 
     @property
     def system(self) -> RootSystem:
@@ -178,17 +180,18 @@ class FanoRow(NamedTuple):
 def fano_census(q: CensusQuery) -> Tuple[FanoRow, ...]:
     """Fano status for every enumerated scheme; the incidence certificate is
     attached where its machinery applies (normalized, quasi-standard, Picard
-    rank at least two).  The gate is decided once per query: the query's Levi
-    fixes the Picard rank, and normalized_only rows are normalized by construction.
-    Rows come from the census with their generated blocks' chain codes."""
-    certify = q.rtype.rank - len(q.levi) >= 2
-    nodes = [a for a, _ in _levi_split(q.system, q.levi)[2]]
+    rank at least two).  Rows come from the census with their chain codes; the
+    columns of the nodes off the Levi and g* (0 below Picard rank two: no row is
+    certified) are fixed per query.  The certificate runs first: a certified row
+    is not Fano (its pairing value is negative), so it skips the Fano test."""
+    rs, nodes = q.system, [a for a, _ in _levi_split(q.system, q.levi)[2]]
+    g, cols = _least_gap(rs, q.p) if len(nodes) >= 2 else 0, [_columns(rs)[0][a - 1] for a in nodes]
     rows: List[FanoRow] = []
     for P, codes in zip(*_census(q)):
         w = _weights(P)
-        gated = certify and (q.normalized_only or is_normalized(P))
-        cert = _certificate(P, zip(codes, nodes), w) if gated else None
-        rows.append(FanoRow(P, _is_fano(P, w), cert))
+        gated = g and (q.normalized_only or is_normalized(P))
+        cert = _certificate(P, zip(codes, nodes), w, g) if gated else None
+        rows.append(FanoRow(P, cert is None and _is_fano(cols, w), cert))
     return tuple(rows)
 
 
@@ -254,13 +257,16 @@ def schemes_to_csv(schemes: Iterable[ParabolicScheme]) -> str:
 
 
 def fano_to_csv(rows: Iterable[FanoRow]) -> str:
+    """One line per row; the row format is read once per run on one (system, Levi, prime)."""
+    import hashlib  # only here, so importing the package does not load it
     lines = ["type,p,levi,phi-hash,fano,certificate-root,pairing-value"]
-    for r in rows:
-        P, cert = r.scheme, r.certificate
-        lines.append(
-            f"{_row_format(P.rs, P.levi).csv % P.p}{phi_hash(P)},{str(r.fano).lower()},"
-            f"{cert.beta_l if cert else ''},{cert.pairing_value if cert else ''}"
-        )
+    for (rs, levi, p), run in itertools.groupby(rows, lambda r: (r[0].rs, r[0].levi, r[0].p)):
+        fmt = _row_format(rs, levi)
+        head, (template, get) = fmt.csv % p, fmt.json
+        for P, fano, cert in run:
+            digest = hashlib.sha256((template % (*get(P.heights), p)).encode()).hexdigest()
+            lines.append(f"{head}{digest[:12]},{'true' if fano else 'false'},"
+                         f"{cert.beta_l if cert else ''},{cert.pairing_value if cert else ''}")
     return "\n".join(lines) + "\n"
 
 

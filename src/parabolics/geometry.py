@@ -98,13 +98,13 @@ def is_ample(rs: RootSystem, levi: FrozenSet[int], lam: Character) -> bool:
 
 def is_fano(P: ParabolicScheme) -> bool:
     """is_ample(rs, levi, anticanonical_character(P)), one dot product per node."""
-    return _is_fano(P, _weights(P))
-
-
-def _is_fano(P: ParabolicScheme, w: Tuple[int, ...]) -> bool:
-    """is_fano(P), given P's weights w."""
     cols = _columns(P.rs)[0]
-    return all(sum(map(mul, w, cols[a])) > 0 for a in range(P.rs.rank) if a + 1 not in P.levi)
+    return _is_fano([cols[a - 1] for a, _ in _levi_split(P.rs, P.levi)[2]], _weights(P))
+
+
+def _is_fano(cols: Iterable[Tuple[int, ...]], w: Tuple[int, ...]) -> bool:
+    """is_fano(P), given the pairing columns of the nodes off P's Levi and P's weights w."""
+    return all(sum(map(mul, w, col)) > 0 for col in cols)
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +335,29 @@ def not_fano_certificate(P: ParabolicScheme) -> Optional[NotFanoCertificate]:
         raise InvalidScheme("certificate machinery needs Picard rank >= 2")
     blocks = _generated_blocks(P)
     _require_quasi_standard(blocks)
-    return _certificate(P, [(c, a) for a, c in blocks.items()], _weights(P))
+    return _certificate(P, [(c, a) for a, c in blocks.items()], _weights(P), _least_gap(P.rs, P.p))
+
+
+def _least_gap(rs: RootSystem, p: int) -> int:
+    """g*, the least gap g >= 1 with p**g > H = num/den, on integers (g = num passes)."""
+    num, den = incidence_threshold(rs).as_integer_ratio()
+    return next(g for g in range(1, num + 1) if p ** g * den > num)
 
 
 def _certificate(
-    P: ParabolicScheme, chain: Iterable[Tuple[int, int]], w: Tuple[int, ...]
+    P: ParabolicScheme, chain: Iterable[Tuple[int, int]], w: Tuple[int, ...], g: int
 ) -> Optional[NotFanoCertificate]:
     """The body of not_fano_certificate, given the (_chain_code, node) pairs of
-    P's generated blocks and P's weights w, for a P its caller has checked to be
-    normalized and of Picard rank at least two; None if a code has the exotic
-    bit.  Sorted, the pairs are the chain; m = code >> 3, top = code + 4 >> 3.
-    A cut passes when p**gap > H, tested on integers as p**gap * den > num."""
+    P's generated blocks, P's weights w and g* = _least_gap(P.rs, P.p), for a P
+    its caller has checked to be normalized and of Picard rank at least two; None
+    if a code has the exotic bit.  Sorted, the pairs are the chain; m = code >> 3,
+    top = code + 4 >> 3.  A cut passes when p**gap > H, that is when gap >= g*."""
     chain = sorted(chain)
-    H = incidence_threshold(P.rs)
-    num, den = H.as_integer_ratio()
     for i in range(1, len(chain)):
-        gap = (chain[i][0] >> 3) - (chain[i - 1][0] + 4 >> 3)
-        if gap >= 1 and P.p ** gap * den > num:
+        if (chain[i][0] >> 3) - (chain[i - 1][0] + 4 >> 3) >= g:
             if any(c & 2 for c, _ in chain):  # read only where a cut passes
                 return None
             l, delta = _incidence_root(P.rs, P.levi, frozenset(a for _, a in chain[:i]))
-            return NotFanoCertificate(l, delta, H, sum(map(mul, w, _columns(P.rs)[0][l - 1])))
+            pairing = sum(map(mul, w, _columns(P.rs)[0][l - 1]))
+            return NotFanoCertificate(l, delta, incidence_threshold(P.rs), pairing)
     return None

@@ -294,6 +294,19 @@ def test_the_query_checks_its_levi_subset_after_prime_and_bound():
         CensusQuery(B2_TYPE, 2, [3], 1)
 
 
+@pytest.mark.parametrize("flag", ["no", None, 2, 0, 1])
+def test_a_query_refuses_a_normalized_flag_that_is_not_a_bool(flag):
+    B2_TYPE = RootSystemType.parse("B2")
+    message = f"^normalized_only must be a bool, not {flag!r}$"
+    with pytest.raises(InvalidScheme, match=message):
+        CensusQuery(B2_TYPE, 2, frozenset(), 2, normalized_only=flag)
+    # the prime, bound and Levi subset are checked first
+    with pytest.raises(InvalidScheme, match=r"^Levi subset \[3\] outside 1..2$"):
+        CensusQuery(B2_TYPE, 2, [3], 2, normalized_only=flag)
+    assert len(enumerate_parabolics(CensusQuery(B2_TYPE, 2, frozenset(), 2, True))) == 5
+    assert len(enumerate_parabolics(CensusQuery(B2_TYPE, 2, frozenset(), 2, False))) == 15
+
+
 def test_a_query_stores_its_checked_levi_subset():
     listed = CensusQuery(RootSystemType.parse("B2"), 2, [1], 1)
     assert listed.levi == frozenset({1}) and type(listed.levi) is frozenset

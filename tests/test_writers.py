@@ -6,7 +6,9 @@ row formats; the reference formats each row from scratch and never reads those
 caches.  Every Levi subset of the types below, the empty and the full one
 included, carries heights drawn from 0, 9, 10, 127 and 130, so one-, two- and
 three-digit values meet in a row; one census reaches height 130, where the
-census kernel packs two-byte lanes.
+census kernel packs two-byte lanes.  A Fano line is checked whole: its flag
+against `is_fano`, its certificate columns against `not_fano_certificate`, on
+censuses that certify, and once over the rows of several queries interleaved.
 """
 
 import hashlib
@@ -23,10 +25,15 @@ from parabolics import (
     fano_to_csv,
     hasse_diagram,
     hasse_to_dot,
+    is_fano,
+    is_normalized,
+    not_fano_certificate,
     root_system,
     schemes_to_csv,
     schemes_to_jsonl,
 )
+from parabolics.errors import ExoticBlocksPresent
+from parabolics.geometry import picard_rank
 from parabolics.phi import _canonical
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "B4", "C3", "D4", "F4", "G2"]
@@ -103,13 +110,43 @@ def test_writers_match_the_reference_on_a_two_byte_lane_census():
     assert dot[2:2 + len(schemes)] == ref_dot_labels(schemes)
 
 
+def ref_fano_line(P):
+    """P's whole Fano CSV line, its flag from is_fano and its certificate
+    columns from not_fano_certificate where the certificate applies."""
+    cert = None
+    if picard_rank(P) >= 2 and is_normalized(P):
+        try:
+            cert = not_fano_certificate(P)
+        except ExoticBlocksPresent:
+            pass
+    digest = hashlib.sha256(ref_json(P).encode()).hexdigest()[:12]
+    cells = f"{cert.beta_l},{cert.pairing_value}" if cert else ","
+    return f"{ref_csv_head(P)}{digest},{str(is_fano(P)).lower()},{cells}"
+
+
+def check_fano_csv(rows):
+    lines = fano_to_csv(rows).split("\n")
+    assert lines[0] == "type,p,levi,phi-hash,fano,certificate-root,pairing-value"
+    assert lines[1:] == [ref_fano_line(r.scheme) for r in rows] + [""]
+
+
 @pytest.mark.parametrize("label", ["B2", "B3", "G2"])
 def test_fano_csv_rows_match_the_reference(label):
     rs = root_system(label)
+    cells = [(2, 1, False)] + [(p, M, True) for p in (2, 3, 5) for M in (1, 2, 3)]
+    certified = 0
     for levi in every_levi(rs):
-        rows = fano_census(CensusQuery(rs.rtype, 2, frozenset(levi), 1))
-        lines = fano_to_csv(rows).split("\n")[1:-1]
-        assert len(lines) == len(rows)
-        for line, r in zip(lines, rows):
-            digest = hashlib.sha256(ref_json(r.scheme).encode()).hexdigest()[:12]
-            assert line.startswith(f"{ref_csv_head(r.scheme)}{digest},{str(r.fano).lower()},")
+        for p, M, normalized in cells:
+            rows = fano_census(CensusQuery(rs.rtype, p, frozenset(levi), M, normalized))
+            check_fano_csv(rows)
+            certified += sum(r.certificate is not None for r in rows)
+    assert certified > 0
+    # one call over the rows of five queries, interleaved: each query differs
+    # from the next in just the prime, the Levi subset or the system
+    other = root_system("B2" if label == "G2" else "G2")
+    queries = [CensusQuery(s.rtype, p, frozenset(levi), 3, True) for s, p, levi in
+               [(rs, 2, ()), (rs, 3, ()), (rs, 3, (1,)), (other, 3, (1,)), (other, 2, (1,))]]
+    interleaved = [r for rows in itertools.zip_longest(*map(fano_census, queries))
+                   for r in rows if r is not None]
+    assert len({(r.scheme.rs, r.scheme.levi, r.scheme.p) for r in interleaved[:5]}) == 5
+    check_fano_csv(interleaved)

@@ -1,5 +1,6 @@
 """Deep sweep: the census equals the brute-force oracle, carries the
-generated blocks, and orders them by chain code, on a grid beyond Tier-1.
+generated blocks, orders them by chain code, and certifies its Fano rows,
+on a grid beyond Tier-1.
 
     python3 tools/deep_sweep.py
 
@@ -14,9 +15,13 @@ chain codes are the row's `_generated_blocks`.  On each cell of at most
 PAIR_LIMIT schemes (every cell here: the largest has 146) it also checks the
 Hasse containment bitsets, built from the carried codes
 (`_containment_bitsets`), against `contains` on every ordered pair of
-distinct schemes.  A cell that differs is named on stderr.  The script
-prints the cells, the oracle's candidates, the rows whose codes it checked,
-the pairs whose order it checked and the seconds, and exits 1 on a
+distinct schemes.  On each normalized cell it also runs `fano_census` and
+checks every row's Fano flag against `is_fano` and its certificate against
+`not_fano_certificate`, recomputed from the scheme alone; it expects None
+where the Picard rank is below 2 or that raises `ExoticBlocksPresent`.  A
+cell that differs is named on stderr.  The script prints the cells, the
+oracle's candidates, the rows whose codes it checked, the pairs whose order
+it checked, the Fano rows it checked and the seconds, and exits 1 on a
 mismatch.  The 272 cells take 11-15 s on a 2-vCPU host.
 """
 
@@ -26,11 +31,22 @@ import sys
 import time
 from itertools import combinations, product
 from pathlib import Path
+from typing import Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from parabolics import CensusQuery, RootSystemType, brute_force_enumerate, contains
+from parabolics import (
+    CensusQuery,
+    RootSystemType,
+    brute_force_enumerate,
+    contains,
+    fano_census,
+    is_fano,
+    not_fano_certificate,
+)
 from parabolics.census import _census
+from parabolics.errors import ExoticBlocksPresent
+from parabolics.geometry import picard_rank
 from parabolics.phi import _containment_bitsets, _generated_blocks, _levi_split
 
 #: (type, height bound) of each system swept
@@ -52,8 +68,26 @@ def order_mismatches(schemes, codes) -> int:
     return bad
 
 
+def expected_certificate(P):
+    """not_fano_certificate(P) for a normalized P, None where it does not apply."""
+    if picard_rank(P) < 2:
+        return None
+    try:
+        return not_fano_certificate(P)
+    except ExoticBlocksPresent:
+        return None
+
+
+def fano_mismatches(q) -> Tuple[int, int]:
+    """(rows, rows whose Fano flag or certificate differs from the recomputed one)."""
+    rows = fano_census(q)
+    bad = sum(r.fano != is_fano(r.scheme) or r.certificate != expected_certificate(r.scheme)
+              for r in rows)
+    return len(rows), bad
+
+
 def main() -> int:
-    cells = candidates = rows = pairs = mismatches = 0
+    cells = candidates = rows = pairs = fano_rows = mismatches = 0
     start = time.perf_counter()
     for label, M in GRID:
         rtype = RootSystemType.parse(label)
@@ -74,13 +108,18 @@ def main() -> int:
                         if len(schemes) <= PAIR_LIMIT:
                             order_bad = order_mismatches(schemes, carried)
                             pairs += len(schemes) * (len(schemes) - 1)
-                        if not carried_ok or order_bad or schemes != brute_force_enumerate(q):
+                        fano_bad = 0
+                        if normalized:
+                            checked, fano_bad = fano_mismatches(q)
+                            fano_rows += checked
+                        if (not carried_ok or order_bad or fano_bad
+                                or schemes != brute_force_enumerate(q)):
                             mismatches += 1
                             print(f"mismatch: {label} p={p} levi={list(levi)} M={M} "
                                   f"normalized={normalized}", file=sys.stderr)
     seconds = time.perf_counter() - start
     print(f"{cells} cells, {candidates} candidates, {rows} rows' codes, {pairs} ordered pairs, "
-          f"{seconds:.1f} s, {mismatches} mismatches")
+          f"{fano_rows} Fano rows, {seconds:.1f} s, {mismatches} mismatches")
     return 1 if mismatches else 0
 
 

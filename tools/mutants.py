@@ -89,7 +89,7 @@ MUTANTS = (
     ),
     Mutant(
         "cut-gap-off-by-one", GEOMETRY,
-        "P.p ** gap * den > num:", "P.p ** (gap + 1) * den > num:",
+        "if p ** g * den > num)", "if p ** (g + 1) * den > num)",
         ("tests/test_geometry.py",),
         "a cut passes when p**gap, not p**(gap + 1), exceeds the threshold",
     ),
@@ -150,10 +150,16 @@ MUTANTS = (
     ),
     Mutant(
         "fano-gate-normalized-only", CENSUS,
-        "gated = certify and (q.normalized_only or is_normalized(P))",
-        "gated = certify and q.normalized_only",
+        "gated = g and (q.normalized_only or is_normalized(P))",
+        "gated = g and q.normalized_only",
         ("tests/test_carried_blocks.py",),
         "a plain Fano census certifies its normalized rows too",
+    ),
+    Mutant(
+        "fano-test-skipped", CENSUS,
+        "cert is None and _is_fano(cols, w)", "cert is None",
+        ("tests/test_carried_blocks.py",),
+        "only a certified row skips the Fano test; a row without a certificate may fail it",
     ),
     Mutant(
         "census-projection-sum", CENSUS,
