@@ -6,15 +6,15 @@ instead tries every height function up to the bound and keeps the
 reconstruction fixpoints.  Where the guard admits, the two must agree exactly.
 
 The oracle is independent of the fold: it never calls the packed kernel or
-the block catalogs, only is_valid's cover test (`_anchored`, `_window_cover`)
-and `is_normalized`.  The cover test at a node reads only the candidate's
-heights on the node's window, so each call tables it per node, from window
-heights to the roots hit; a candidate then costs a dict lookup per node
-and an OR (about 1-3 us, against 4-7 us through `is_valid`), and only the
-survivors become schemes.  Their heights are well formed by construction
-(INFINITE on the Levi roots, a value in 0..M elsewhere), so they skip the
-public constructor's checks; the query's prime, bound and Levi are checked
-once.
+the block catalogs, only is_valid's cover test (the node's one chain table
+`_chain`, and `_window_cover`) and `is_normalized`.  The cover test at a node
+reads only the candidate's heights on the node's window, so each call tables
+it per node, from window heights to the roots hit; a candidate then costs a
+dict lookup per node and an OR (about 1-3 us, against 4-7 us through
+`is_valid`), and only the survivors become schemes.  Their heights are well
+formed by construction (INFINITE on the Levi roots, a value in 0..M
+elsewhere), so they skip the public constructor's checks; the query's prime,
+bound and Levi are checked once.
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InvalidScheme, SearchSpaceTooLarge
+from .errors import InvalidRootSystem, InvalidScheme, SearchSpaceTooLarge
 from .geometry import NotFanoCertificate, _certificate, _columns, _is_fano, _least_gap, _weights
 from .phi import (
     INFINITE,
     Height,
     ParabolicScheme,
     RankOneBlock,
-    _anchored,
     _catalog,
     _catalog_size,
     _census_meets,
+    _chain,
     _check_prime,
     _containment_bitsets,
     _levi_split,
@@ -64,6 +64,8 @@ class CensusQuery:
     normalized_only: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rtype, RootSystemType):
+            raise InvalidRootSystem(f"census type {self.rtype!r} is not a RootSystemType")
         _check_prime(self.p)
         if _check_int(self.max_height) < 0:
             raise InvalidScheme("max_height must be >= 0")
@@ -123,10 +125,12 @@ class _CoverMasks(dict):
     """One node's cover test, tabled for one oracle call: the node's window heights (a
     scalar for a one-root window) to the int mask of the domain roots its cover hits, 0
     where none covers (the node's own root, in no other window, then stays unhit).  A miss
-    runs _window_cover on the anchored candidates at its anchor, listed per height 0..M."""
+    runs _window_cover on the candidates at its anchor a, the chain table's entries plus a
+    (codes plus 8a), listed per height 0..M once per call, so a miss subtracts nothing."""
 
     def __init__(self, rs: RootSystem, p: int, alpha: int, bits: Sequence[int], M: int):
-        self.bits, self.chains = bits, [_anchored(rs, p, alpha, a) for a in range(M + 1)]
+        self.bits, self.chains = bits, [[(tuple([v + a for v in h]), k + 8 * a) for h, k in
+                                         _chain(rs, p, alpha)] for a in range(M + 1)]
 
     def __missing__(self, key) -> int:
         hw = key if type(key) is tuple else (key,)

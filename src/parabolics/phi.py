@@ -24,20 +24,21 @@ simple root off the Levi.  The block catalog at a simple root alpha:
       ExoticH(m): 2a1+a2 -> m+1, other a1-supported roots -> m
       ExoticL(m): a1, a1+a2 -> m+1, 2a1+a2, 3a1+a2, 3a1+2a2 -> m
 
-`_block_kinds` is the one statement of which kinds exist at which node.  A
-block's `top` is its largest height: m for Standard(m), m+1 for every other
-kind X(m); the catalog at bound M (`_catalog`) holds the blocks with top at
-most M.  The chain key m + top orders blocks along their kernel chain
-Standard(0) < X(0) < Standard(1) < X(1) < ....  Inside the package a block at
-a node is one small int, its chain code (`_chain_code`), which sorts in chain
-order and gives m, top and the exotic bit by shifts; a `RankOneBlock` is
-built (`_block_of`) only where one is returned or printed.  No block cache is
-keyed by a height: X(m) is X(0) plus m on the node's window and INFINITE
-elsewhere, formed where it is used from X(0), which is cached per kind as its
-window heights (`_block_vector`), less its anchor height in the node's chain
-(`_chain`), and packed per lane width (`_packed_kinds`).  Per Levi subset,
-`_levi_split` caches the roots off it, their positions and the window of each
-node, and `_row_format` the templates of every writer.
+The node's chain table (`_chain`) is the one statement of which kinds exist at
+which node, in chain order.  A block's `top` is its largest height: m for
+Standard(m), m+1 for every other kind X(m); the catalog at bound M
+(`_catalog`) holds the blocks with top at most M.  The chain key m + top
+orders blocks along their kernel chain Standard(0) < X(0) < Standard(1) <
+X(1) < ....  Inside the package a block at a node is one small int, its chain
+code (`_chain_code`), which sorts in chain order and gives m, top and the
+exotic bit by shifts; a `RankOneBlock` is built (`_block_of`) only where one
+is returned or printed.  No block cache is keyed by a height: X(m) is X(0)
+plus m on the node's window and INFINITE elsewhere, formed where it is used
+from X(0), which is cached per kind as its window heights (`_block_vector`),
+less its anchor height in the chain table, and packed per lane width
+(`_packed_kinds`).  Per Levi subset, `_levi_split` caches the roots off it,
+their positions and each node's window, and `_row_format` every writer's
+templates.
 
 Reconstruction meets the generated block at each node, the least anchored
 candidate containing the scheme; a height function is valid exactly when
@@ -434,39 +435,23 @@ _EXOTIC_TOPS = {BlockKind.EXOTIC_H: {Root.of(2, 1)},
                 BlockKind.EXOTIC_L: {Root.of(1, 0), Root.of(1, 1)}}
 
 
-@lru_cache(maxsize=None, typed=True)
-def _block_kinds(rs: RootSystem, p: int, alpha: int) -> Tuple[BlockKind, ...]:
-    """The block kinds admitted at the simple root alpha, in catalog order:
-    Standard everywhere, VerySpecial under an edge of multiplicity p, and
-    the two exotic kinds in G2, characteristic 2, at the short simple root.
-    Raises InvalidScheme for an alpha that is not an int in 1..rank."""
-    if not 1 <= _check_int(alpha) <= rs.rank:
-        raise InvalidScheme(f"anchor a{alpha} outside 1..{rs.rank}")
-    kinds = [BlockKind.STANDARD]
-    if edge_hypothesis(rs, p):
-        kinds.append(BlockKind.VERY_SPECIAL)
-    if rs.rtype == _G2 and p == 2 and alpha == 1:
-        kinds += [BlockKind.EXOTIC_H, BlockKind.EXOTIC_L]
-    return tuple(kinds)
-
-
 def _catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> List[RankOneBlock]:
     """The catalog blocks at alpha whose top stays within max_height, kind by
-    kind in catalog order, then by m; trusts p and max_height."""
-    return [RankOneBlock(alpha, kind, m) for kind in _block_kinds(rs, p, alpha)
-            for m in range(max_height + (kind is BlockKind.STANDARD))]
+    kind in catalog order (X(0)'s code), then by m; trusts p and max_height."""
+    return [_block_of(alpha, c + 8 * m) for c in sorted(k & 7 for _, k in _chain(rs, p, alpha))
+            for m in range(max_height + (c == 0))]
 
 
 def _catalog_size(rs: RootSystem, p: int, alpha: int, max_height: int) -> int:
     """len(_catalog(rs, p, alpha, max_height)), without building it."""
-    return len(_block_kinds(rs, p, alpha)) * max_height + 1
+    return len(_chain(rs, p, alpha)) * max_height + 1
 
 
 def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
     _check_prime(p)
     if block.m < 0:
         raise InvalidScheme(f"negative block height {block.m}")
-    if block.kind in _block_kinds(rs, p, block.alpha):
+    if any(k & 7 == _chain_code(block.kind, 0) for _, k in _chain(rs, p, block.alpha)):
         return
     if block.kind is BlockKind.VERY_SPECIAL:
         raise EdgeHypothesisNotSatisfied(
@@ -587,8 +572,8 @@ def _packed_kinds(rs: RootSystem, p: int, alpha: int, k: int) -> Tuple[Tuple, ..
     """(packed X(0), its ones on alpha's window, _chain_code, top) of each kind at
     alpha, in catalog order, in k-byte lanes: X(m) packs as X(0) plus m ones."""
     inf, kinds = (1 << 8 * k - 1) - 1, []
-    for kind in _block_kinds(rs, p, alpha):
-        x, one, c = 0, 0, _chain_code(kind, 0)
+    for c in sorted(code & 7 for _, code in _chain(rs, p, alpha)):
+        x, one = 0, 0
         for v in _meet(rs, p, {alpha: c}).heights:  # the first root leads
             x, one = x << 8 * k | (inf if v is INFINITE else v), one << 8 * k | (v is not INFINITE)
         kinds.append((x, one, c, c + 4 >> 3))
@@ -640,33 +625,36 @@ def anchored_candidates(
     rs: RootSystem, p: int, alpha: int, anchor: int
 ) -> Tuple[RankOneBlock, ...]:
     """Catalog blocks at alpha whose height on alpha equals `anchor`, in
-    increasing containment order (_anchored); a bool or float node or anchor is refused."""
-    chain = _anchored(rs, p, _check_int(alpha), _check_int(anchor))
-    return tuple(_block_of(alpha, c) for _, c in chain)
+    increasing containment order (_chain); a bool or float node or anchor is refused."""
+    a = _check_int(anchor)
+    return tuple(_block_of(alpha, k + 8 * a) for _, k in _chain(rs, p, alpha) if k + 8 * a >= 0)
 
 
-@lru_cache(maxsize=None)
-def _chain(rs: RootSystem, p: int, alpha: int) -> Tuple[Tuple, ...]:
-    """(window heights less t, t, _chain_code) of X(0) for each kind X at alpha, where t
-    is X(0)'s anchor height.  At anchor a >= t the kind's candidate is X(a - t), code
-    c + 8(a - t), so the order by c - 8t is the chain at every anchor: Standard(m) lies
-    in X(m), and X(m) in Standard(m+1).  The cache is untyped: callers pass int nodes."""
-    vectors = [(_block_vector(rs, alpha, x), _chain_code(x, 0)) for x in _block_kinds(rs, p, alpha)]
-    chain = [(tuple(v - h[0] for v in h), h[0], c) for h, c in vectors]  # the anchor leads h
-    return tuple(sorted(chain, key=lambda e: e[2] - 8 * e[1]))
+@lru_cache(maxsize=None, typed=True)
+def _chain(rs: RootSystem, p: int, alpha: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """Per kind admitted at alpha (Standard; VerySpecial under an edge of multiplicity p;
+    ExoticH, ExoticL in G2, p = 2, at a1), X(0)'s window heights less its anchor height t
+    and k = c - 8t for its chain code c (so c = k & 7), sorted by k.  At anchor a the kind's
+    candidate X(a - t) has code k + 8a, and exists when that is >= 0; Standard(m) lies in
+    X(m), X(m) in Standard(m+1), so this is the chain at every anchor.  Refuses an alpha
+    that is not an int in 1..rank."""
+    if not 1 <= _check_int(alpha) <= rs.rank:
+        raise InvalidScheme(f"anchor a{alpha} outside 1..{rs.rank}")
+    kinds = [BlockKind.STANDARD]
+    if edge_hypothesis(rs, p):
+        kinds.append(BlockKind.VERY_SPECIAL)
+    if rs.rtype == _G2 and p == 2 and alpha == 1:
+        kinds += [BlockKind.EXOTIC_H, BlockKind.EXOTIC_L]
+    vectors = [(_block_vector(rs, alpha, x), _chain_code(x, 0)) for x in kinds]
+    chain = [(tuple(v - h[0] for v in h), c - 8 * h[0]) for h, c in vectors]  # the anchor leads h
+    return tuple(sorted(chain, key=itemgetter(1)))
 
 
-def _anchored(rs: RootSystem, p: int, alpha: int, a: int) -> List[Tuple]:
-    """(window heights, _chain_code) of X(a - t) at alpha, each kind with t <= a, in chain order."""
-    return [(tuple([v + a for v in rel]), c + 8 * (a - t))
-            for rel, t, c in _chain(rs, p, alpha) if t <= a]
-
-
-def _window_cover(chain: List[Tuple], hw: Tuple[int, ...]) -> Tuple[int, Tuple]:
+def _window_cover(chain: Sequence[Tuple], hw: Tuple[int, ...]) -> Tuple[int, Tuple]:
     """The cover test over hw, a scheme's heights on a node's window (anchor first), by the
-    node's anchored candidates at hw[0] (_anchored): the first that contains hw, as its code
-    and the window roots where the two are equal, else the last one's code and no roots.  A
-    block is INFINITE off its window and the scheme finite on it, so this compares ints."""
+    node's candidates (window heights, code) in chain order: the first that contains hw, as
+    its code and the window roots where the two are equal, else the last one's code and no
+    roots.  A block is INFINITE off its window and the scheme finite on it: ints compare."""
     for h, c in chain:
         if all(map(ge, h, hw)):
             return c, tuple(map(eq, h, hw))
@@ -674,9 +662,13 @@ def _window_cover(chain: List[Tuple], hw: Tuple[int, ...]) -> Tuple[int, Tuple]:
 
 
 def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Tuple[int, Tuple]:
-    """_window_cover over P's heights on the window: its code is P's generated block."""
-    hw = tuple(map(P.heights.__getitem__, window))
-    return _window_cover(_anchored(P.rs, P.p, alpha, hw[0]), hw)
+    """_window_cover of P's window heights less the anchor's, a, by the chain table: k + 8a
+    is P's generated block.  No t <= a filter: a t = 1 kind (VerySpecial at a short node,
+    ExoticL) is -1 on the window's long roots, the highest root among them, so X(-1) holds
+    no scheme; Standard (k = 0) sorts after each k < 0, so the fallback is never one."""
+    a = P.heights[window[0]]
+    k, hits = _window_cover(_chain(P.rs, P.p, alpha), tuple([P.heights[i] - a for i in window]))
+    return k + 8 * a, hits
 
 
 def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:

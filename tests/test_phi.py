@@ -53,9 +53,9 @@ from parabolics.errors import (
 from parabolics.geometry import NotFanoCertificate
 from parabolics.census import _census
 from parabolics.phi import (
-    _block_kinds,
     _block_of,
     _canonical,
+    _chain,
     _containment_bitsets,
     _enne_triples,
     _generated_blocks,
@@ -774,13 +774,33 @@ ADMITTED_KINDS = {
 
 
 def test_admitted_block_kinds_golden_table():
+    # the chain table's X(0) codes, k & 7, sort in catalog order
     letter = {BlockKind.STANDARD: "S", BlockKind.VERY_SPECIAL: "V",
               BlockKind.EXOTIC_H: "H", BlockKind.EXOTIC_L: "L"}
     for (label, p), expected in ADMITTED_KINDS.items():
         rs = root_system(label)
-        got = tuple("".join(letter[k] for k in _block_kinds(rs, p, a))
+        got = tuple("".join(letter[_block_of(a, c).kind]
+                            for c in sorted(k & 7 for _, k in _chain(rs, p, a)))
                     for a in range(1, rs.rank + 1))
         assert got == expected, (label, p)
+
+
+#: every type and prime the acceptance suite and the benchmark workloads query
+CHAIN_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
+               "E6", "E7", "E8", "F4", "G2")
+
+
+@pytest.mark.parametrize("label", CHAIN_TYPES)
+def test_the_chain_table_needs_no_anchor_filter(label):
+    # a single scheme is covered by the whole table at every anchor a: an entry
+    # with k < 0 (t = 1) is X(-1) at a = 0, and a -1 on its window keeps it from
+    # containing any scheme; the last entry, the fallback, exists at every anchor
+    rs = root_system(label)
+    for p, alpha in itertools.product((2, 3, 5), range(1, rs.rank + 1)):
+        chain = _chain(rs, p, alpha)
+        for h, k in chain:
+            assert k >= 0 or -1 in h, (label, p, alpha, k)
+        assert chain[-1][1] >= 0, (label, p, alpha)
 
 
 def test_anchored_candidates_reject_alpha_outside_the_rank():
@@ -814,7 +834,7 @@ UNCOERCED = {
     "bool block height": lambda: standard_block(1, True),
     "float block anchor": lambda: standard_block(1.0, 0),
     "bool block anchor": lambda: very_special_block(True, 0),
-    "bool node in the kind table": lambda: _block_kinds(B2, 2, True),
+    "bool node in the kind table": lambda: _chain(B2, 2, True),
     "bool anchored-candidates node": lambda: anchored_candidates(B2, 2, True, 1),
     "float anchored-candidates anchor": lambda: anchored_candidates(B2, 2, 1, 1.0),
     "bool anchored-candidates anchor": lambda: anchored_candidates(B2, 2, 1, True),
@@ -846,6 +866,9 @@ NAMED_REFUSALS = {
         InvalidScheme, "certificate pairing must be negative"),
     "type label without a rank": (
         lambda: RootSystemType.parse("B"), InvalidRootSystem, "cannot parse type label 'B'"),
+    "census query on a type label": (
+        lambda: CensusQuery("B2", 2, frozenset(), 1), InvalidRootSystem,
+        "census type 'B2' is not a RootSystemType"),
 }
 
 

@@ -8,7 +8,8 @@ included, carries heights drawn from 0, 9, 10, 127 and 130, so one-, two- and
 three-digit values meet in a row; one census reaches height 130, where the
 census kernel packs two-byte lanes.  A Fano line is checked whole: its flag
 against `is_fano`, its certificate columns against `not_fano_certificate`, on
-censuses that certify, and once over the rows of several queries interleaved.
+censuses that certify, and once over the rows of several queries interleaved;
+its hash column is also checked against the public `phi_hash`.
 """
 
 import hashlib
@@ -28,6 +29,7 @@ from parabolics import (
     is_fano,
     is_normalized,
     not_fano_certificate,
+    phi_hash,
     root_system,
     schemes_to_csv,
     schemes_to_jsonl,
@@ -128,6 +130,8 @@ def check_fano_csv(rows):
     lines = fano_to_csv(rows).split("\n")
     assert lines[0] == "type,p,levi,phi-hash,fano,certificate-root,pairing-value"
     assert lines[1:] == [ref_fano_line(r.scheme) for r in rows] + [""]
+    # the hash column is the public phi_hash of the row's scheme
+    assert [line.split(",")[3] for line in lines[1:-1]] == [phi_hash(r.scheme) for r in rows]
 
 
 @pytest.mark.parametrize("label", ["B2", "B3", "G2"])

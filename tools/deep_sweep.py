@@ -1,6 +1,6 @@
 """Deep sweep: the census equals the brute-force oracle, carries the
-generated blocks, orders them by chain code, and certifies its Fano rows,
-on a grid beyond Tier-1.
+generated blocks, is fixed by reconstruction, orders its rows by chain code,
+and certifies its Fano rows, on a grid beyond Tier-1.
 
     python3 tools/deep_sweep.py
 
@@ -10,8 +10,10 @@ subset, mode) query: B4, C4 and D4 at height bound 1, B3 and C3 at 3 and G2
 at 6, for the primes 2 and 3, every Levi subset (the Borel and the whole
 group included) and both modes (all schemes, normalized only).  Each cell
 checks that the census (`_census(q)`, whose schemes `enumerate_parabolics`
-returns) equals `brute_force_enumerate(q)`, and that every row's carried
-chain codes are the row's `_generated_blocks`.  On each cell of at most
+returns) equals `brute_force_enumerate(q)`, that every row's carried
+chain codes are the row's `_generated_blocks`, and that every row P is valid
+and its own reconstruction (`is_valid(P)`, `reconstruct(P) == P`), so the
+single-scheme cover and the meet run on every row.  On each cell of at most
 PAIR_LIMIT schemes (every cell here: the largest has 146) it also checks the
 Hasse containment bitsets, built from the carried codes
 (`_containment_bitsets`), against `contains` on every ordered pair of
@@ -20,9 +22,9 @@ checks every row's Fano flag against `is_fano` and its certificate against
 `not_fano_certificate`, recomputed from the scheme alone; it expects None
 where the Picard rank is below 2 or that raises `ExoticBlocksPresent`.  A
 cell that differs is named on stderr.  The script prints the cells, the
-oracle's candidates, the rows whose codes it checked, the pairs whose order
-it checked, the Fano rows it checked and the seconds, and exits 1 on a
-mismatch.  The 272 cells take 11-15 s on a 2-vCPU host.
+oracle's candidates, the rows whose codes and reconstruction it checked, the
+pairs whose order it checked, the Fano rows it checked and the seconds, and
+exits 1 on a mismatch.  The 272 cells take 11-15 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from parabolics import (
     contains,
     fano_census,
     is_fano,
+    is_valid,
     not_fano_certificate,
+    reconstruct,
 )
 from parabolics.census import _census
 from parabolics.errors import ExoticBlocksPresent
@@ -103,6 +107,7 @@ def main() -> int:
                         schemes, carried = _census(q)
                         rows += len(schemes)
                         carried_ok = all(codes == tuple(_generated_blocks(P).values())
+                                         and is_valid(P) and reconstruct(P) == P
                                          for P, codes in zip(schemes, carried))
                         order_bad = 0
                         if len(schemes) <= PAIR_LIMIT:
@@ -118,7 +123,8 @@ def main() -> int:
                             print(f"mismatch: {label} p={p} levi={list(levi)} M={M} "
                                   f"normalized={normalized}", file=sys.stderr)
     seconds = time.perf_counter() - start
-    print(f"{cells} cells, {candidates} candidates, {rows} rows' codes, {pairs} ordered pairs, "
+    print(f"{cells} cells, {candidates} candidates, {rows} rows' codes and reconstructions, "
+          f"{pairs} ordered pairs, "
           f"{fano_rows} Fano rows, {seconds:.1f} s, {mismatches} mismatches")
     return 1 if mismatches else 0
 

@@ -126,9 +126,21 @@ MUTANTS = (
     ),
     Mutant(
         "anchored-order-ignores-anchor-height", PHI,
-        "key=lambda e: e[2] - 8 * e[1])", "key=lambda e: e[2])",
+        "c - 8 * h[0]", "c",
         ("tests/test_phi.py",),
         "a kind whose X(0) has anchor height t sits at code - 8t in the per-node chain",
+    ),
+    Mutant(
+        "cover-code-unshifted", PHI,
+        "return k + 8 * a, hits", "return k, hits",
+        ("tests/test_phi.py",),
+        "a single scheme's cover is relative to its anchor a, so its code is k + 8a",
+    ),
+    Mutant(
+        "anchored-candidates-unfiltered", PHI,
+        " if k + 8 * a >= 0)", ")",
+        ("tests/test_phi.py",),
+        "a kind with t = 1 has no candidate at anchor 0: its code k + 8a is negative",
     ),
     Mutant(
         "oracle-hit-mask-ge", CENSUS,
