@@ -635,7 +635,7 @@ def _chain(rs: RootSystem, p: int, alpha: int) -> Tuple[Tuple[Tuple[int, ...], i
     """Per kind admitted at alpha (Standard; VerySpecial under an edge of multiplicity p;
     ExoticH, ExoticL in G2, p = 2, at a1), X(0)'s window heights less its anchor height t
     and k = c - 8t for its chain code c (so c = k & 7), sorted by k.  At anchor a the kind's
-    candidate X(a - t) has code k + 8a, and exists when that is >= 0; Standard(m) lies in
+    candidate X(a - t) has code k + 8a, and exists iff that is >= 0; Standard(m) lies in
     X(m), X(m) in Standard(m+1), so this is the chain at every anchor.  Refuses an alpha
     that is not an int in 1..rank."""
     if not 1 <= _check_int(alpha) <= rs.rank:
@@ -664,8 +664,8 @@ def _window_cover(chain: Sequence[Tuple], hw: Tuple[int, ...]) -> Tuple[int, Tup
 def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Tuple[int, Tuple]:
     """_window_cover of P's window heights less the anchor's, a, by the chain table: k + 8a
     is P's generated block.  No t <= a filter: a t = 1 kind (VerySpecial at a short node,
-    ExoticL) is -1 on the window's long roots, the highest root among them, so X(-1) holds
-    no scheme; Standard (k = 0) sorts after each k < 0, so the fallback is never one."""
+    ExoticL) is -1 on the long roots of its window, which holds the highest root, so X(-1)
+    holds no scheme; Standard (k = 0) sorts after each k < 0, so the fallback is never one."""
     a = P.heights[window[0]]
     k, hits = _window_cover(_chain(P.rs, P.p, alpha), tuple([P.heights[i] - a for i in window]))
     return k + 8 * a, hits
