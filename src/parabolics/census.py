@@ -6,9 +6,9 @@ instead tries every height function up to the bound and keeps the
 reconstruction fixpoints.  Where the guard admits, the two must agree exactly.
 
 The oracle is independent of the fold: it never calls the packed kernel or
-the block catalogs, only is_valid's cover test (the node's one chain table
-`_chain`, and `_window_cover`) and `is_normalized`.  The cover test at a node
-reads only the candidate's heights on the node's window, so each call tables
+the block catalogs, only is_valid's cover test (`_window_cover` over the window
+vectors of the node's chain table `_chain`) and `is_normalized`.  The cover test
+at a node reads only the candidate's heights on its window, so each call tables
 it per node, from window heights to the roots hit; a candidate then costs a
 dict lookup per node and an OR (about 1-3 us, against 4-7 us through
 `is_valid`), and only the survivors become schemes.  Their heights are well
@@ -112,25 +112,24 @@ def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
 
 
 def _census(q: CensusQuery) -> Tuple[Tuple[ParabolicScheme, ...], Tuple[Tuple[int, ...], ...]]:
-    """The query's schemes, and aligned with them their generated blocks' chain codes."""
+    """The query's schemes and, aligned, their generated blocks' codes in _levi_split's order."""
     rs, M = q.system, q.max_height
-    nodes = sorted(set(range(1, rs.rank + 1)) - q.levi)
-    tuples = math.prod(_catalog_size(rs, q.p, a, M) for a in nodes)
+    tuples = math.prod(_catalog_size(rs, q.p, a, M) for a, _ in _levi_split(rs, q.levi)[2])
     if tuples > CENSUS_GUARD:
         raise SearchSpaceTooLarge(f"{tuples} block tuples exceed the limit {CENSUS_GUARD}")
-    return _census_meets(rs, q.p, q.levi, nodes, M, q.normalized_only)
+    return _census_meets(rs, q.p, q.levi, M, q.normalized_only)
 
 
 class _CoverMasks(dict):
     """One node's cover test, tabled for one oracle call: the node's window heights (a
     scalar for a one-root window) to the int mask of the domain roots its cover hits, 0
     where none covers (the node's own root, in no other window, then stays unhit).  A miss
-    runs _window_cover on the candidates at its anchor a, the chain table's entries plus a
-    (codes plus 8a), listed per height 0..M once per call, so a miss subtracts nothing."""
+    runs _window_cover on the chain table's window vectors plus its anchor a, listed per
+    height 0..M once per call, so a miss subtracts nothing; it reads no code or index."""
 
     def __init__(self, rs: RootSystem, p: int, alpha: int, bits: Sequence[int], M: int):
-        self.bits, self.chains = bits, [[(tuple([v + a for v in h]), k + 8 * a) for h, k in
-                                         _chain(rs, p, alpha)] for a in range(M + 1)]
+        self.bits, vectors = bits, _chain(rs, p, alpha)[0]
+        self.chains = [[tuple([v + a for v in h]) for h in vectors] for a in range(M + 1)]
 
     def __missing__(self, key) -> int:
         hw = key if type(key) is tuple else (key,)

@@ -248,20 +248,15 @@ def fibration_sequence(P: ParabolicScheme) -> List[FibrationStep]:
     factors: List[FiberFactor] = [state]
     steps: List[FibrationStep] = []
     while factors:
-        pick: Optional[Tuple[int, int, int]] = None  # (original label, factor idx, local node)
-        for idx, f in enumerate(factors):
-            for a in sorted(smooth_contraction_roots(f.scheme)):
-                lab = f.labels[a - 1]
-                if pick is None or lab < pick[0]:
-                    pick = (lab, idx, a)
+        pick = min(((f.labels[a - 1], idx, a) for idx, f in enumerate(factors)  # labels distinct
+                    for a in smooth_contraction_roots(f.scheme)), default=None)
         if pick is None:
             raise NoSmoothContraction(
                 "no reduced stabiliser among the remaining contractions"
             )
-        lab, idx, a = pick
+        lab, idx, a = pick  # the original label, the factor's index, the node in the factor
         chosen = factors.pop(idx)
         frs = chosen.scheme.rs
-        base_dim = sum(1 for g in frs.positive_roots if a in g.support())
         subset = frozenset(range(1, frs.rank + 1)) - {a}
         stripped: List[KernelRecord] = []
         for raw in _restrict_factors(chosen.scheme, subset, chosen.labels):
@@ -273,7 +268,7 @@ def fibration_sequence(P: ParabolicScheme) -> List[FibrationStep]:
             FibrationStep(
                 target_type=frs.rtype,
                 target_alpha=lab,
-                base_dimension=base_dim,
+                base_dimension=len(_levi_split(frs, frozenset())[2][a - 1][1]),  # a's window
                 fiber=tuple(factors),
                 stripped=tuple(stripped),
             )

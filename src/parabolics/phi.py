@@ -25,39 +25,40 @@ simple root off the Levi.  The block catalog at a simple root alpha:
       ExoticL(m): a1, a1+a2 -> m+1, 2a1+a2, 3a1+a2, 3a1+2a2 -> m
 
 The node's chain table (`_chain`) is the one statement of which kinds exist at
-which node, in chain order.  A block's `top` is its largest height: m for
-Standard(m), m+1 for every other kind X(m); the catalog at bound M
-(`_catalog`) holds the blocks with top at most M.  The chain key m + top
-orders blocks along their kernel chain Standard(0) < X(0) < Standard(1) <
-X(1) < ....  Inside the package a block at a node is one small int, its chain
-code (`_chain_code`), which sorts in chain order and gives m, top and the
-exotic bit by shifts; a `RankOneBlock` is built (`_block_of`) only where one
-is returned or printed.  No block cache is keyed by a height: X(m) is X(0)
+which node, in chain order, as two aligned tuples: window vectors and codes.  A
+block's `top` is its largest height: m for Standard(m), m+1 for every other
+kind X(m); the catalog at bound M (`_catalog`) holds the blocks with top at most
+M.  The chain key m + top orders blocks along their kernel chain Standard(0) <
+X(0) < Standard(1) < X(1) < ....  Inside the package a block at a node is one
+small int, its chain code (`_chain_code`), which sorts in chain order and gives
+m, top and the exotic bit by shifts; a `RankOneBlock` is built (`_block_of`)
+only where one is shown.  No block cache is keyed by a height: X(m) is X(0)
 plus m on the node's window and INFINITE elsewhere, formed where it is used
-from X(0), which is cached per kind as its window heights (`_block_vector`),
-less its anchor height in the chain table, and packed per lane width
-(`_packed_kinds`).  Per Levi subset, `_levi_split` caches the roots off it,
-their positions and each node's window, and `_row_format` every writer's
-templates.
+from X(0), cached per kind as its window heights by `_block_vector` (the one
+check that a node is an int in 1..rank) and packed per lane width by
+`_packed_kinds`.  Per Levi subset, `_levi_split` caches the roots off it, their
+positions, and each node's window in the one node order every caller reads,
+and `_row_format` every writer's templates.
 
 Reconstruction meets the generated block at each node, the least anchored
-candidate containing the scheme; a height function is valid exactly when
-this is the identity, which `is_valid` tests, without the meet, as a cover
-by the generated blocks, per window (`_window_cover`).  A census meet's
-generated blocks are its chain-least generating tuple, so every census
-carries their codes out of its one fold (`_census_meets`), and the Hasse
-order compares them node by node (`_containment_bitsets`).
+candidate containing the scheme; a height function is valid exactly when this
+is the identity, which `is_valid` tests, without the meet, as a cover by the
+generated blocks, per window (`_window_cover` returns the cover's index in the
+chain).  A census meet's generated blocks are its chain-least generating tuple,
+so every census carries their codes out of its one fold (`_census_meets`), and
+the Hasse order compares them node by node (`_containment_bitsets`).
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import compress, product
 from operator import add, and_, eq, ge, itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from typing import Callable, Union
 
 from .errors import (
@@ -195,6 +196,8 @@ class ParabolicScheme:
         self.rs = rs
         self.p = p
         self.levi = check_levi(rs, levi)
+        if not isinstance(phi, Mapping):
+            raise InvalidScheme(f"phi {phi!r} is not a mapping")
         domain, positions, _ = _levi_split(rs, self.levi)
         heights: List[Height] = [INFINITE] * len(rs.positive_roots)
         for g, i in zip(domain, positions):
@@ -324,7 +327,6 @@ class _RowFormat(NamedTuple):
     json: Tuple[str, Callable]  # the heights in sort_keys order, then the prime
     compact: Tuple[str, Callable]  # "%d;...;%d", the finite heights in root order
     csv: str  # the CSV columns before phi, "<type>,%d,<levi>,", a %d for the prime
-    finite: Tuple[int, ...]  # the positions of the roots off the Levi
 
 
 @lru_cache(maxsize=None)
@@ -333,15 +335,13 @@ def _row_format(rs: RootSystem, levi: FrozenSet[int]) -> _RowFormat:
     def pick(ix):  # an exact-size tuple; itemgetter returns one for two or more indices
         return itemgetter(*ix) if len(ix) > 1 else lambda h: tuple([h[i] for i in ix])
 
-    keys = _json_keys(rs)
-    blank = tuple(INFINITE if g.support() <= levi else "%d" for g in rs.positive_roots)
-    finite = tuple(i for i, v in enumerate(blank) if v is not INFINITE)
+    keys, finite = _json_keys(rs), _levi_split(rs, levi)[1]
+    blank = tuple("%d" if i in finite else INFINITE for i in range(len(rs.positive_roots)))
     json_row = _canonical(ParabolicScheme._of(rs, "%d", levi, blank).to_json_dict())
     return _RowFormat(
         (json_row.replace('"%d"', "%d"), pick(sorted(finite, key=keys.__getitem__))),
         (";".join(["%d"] * len(finite)), pick(finite)),
         f"{rs.rtype},%d,{' '.join(map(str, sorted(levi)))},",
-        finite,
     )
 
 
@@ -349,9 +349,9 @@ def _row_format(rs: RootSystem, levi: FrozenSet[int]) -> _RowFormat:
 def _text_format(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[str, Callable]:
     """The text row format of (rs, levi), as a _RowFormat entry; apart from
     _row_format, so that it is built only where a scheme prints as text."""
-    rows = _row_format(rs, levi)
-    lines = "".join(f"\n  phi({rs.positive_roots[i]}) = %d" for i in rows.finite)
-    return f"type {rs.rtype}  prime %d  levi {sorted(levi)}{lines}", rows.compact[1]
+    lines = "".join(f"\n  phi({rs.positive_roots[i]}) = %d" for i in _levi_split(rs, levi)[1])
+    get = _row_format(rs, levi).compact[1]
+    return f"type {rs.rtype}  prime %d  levi {sorted(levi)}{lines}", get
 
 
 def reduced_scheme(rs: RootSystem, p: int, levi: Iterable[int] = ()) -> ParabolicScheme:
@@ -438,20 +438,20 @@ _EXOTIC_TOPS = {BlockKind.EXOTIC_H: {Root.of(2, 1)},
 def _catalog(rs: RootSystem, p: int, alpha: int, max_height: int) -> List[RankOneBlock]:
     """The catalog blocks at alpha whose top stays within max_height, kind by
     kind in catalog order (X(0)'s code), then by m; trusts p and max_height."""
-    return [_block_of(alpha, c + 8 * m) for c in sorted(k & 7 for _, k in _chain(rs, p, alpha))
+    return [_block_of(alpha, c + 8 * m) for c in sorted(k & 7 for k in _chain(rs, p, alpha)[1])
             for m in range(max_height + (c == 0))]
 
 
 def _catalog_size(rs: RootSystem, p: int, alpha: int, max_height: int) -> int:
     """len(_catalog(rs, p, alpha, max_height)), without building it."""
-    return len(_chain(rs, p, alpha)) * max_height + 1
+    return len(_chain(rs, p, alpha)[1]) * max_height + 1
 
 
 def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
     _check_prime(p)
     if block.m < 0:
         raise InvalidScheme(f"negative block height {block.m}")
-    if any(k & 7 == _chain_code(block.kind, 0) for _, k in _chain(rs, p, block.alpha)):
+    if any(k & 7 == _chain_code(block.kind, 0) for k in _chain(rs, p, block.alpha)[1]):
         return
     if block.kind is BlockKind.VERY_SPECIAL:
         raise EdgeHypothesisNotSatisfied(
@@ -462,10 +462,13 @@ def _check_block(rs: RootSystem, p: int, block: RankOneBlock) -> None:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _block_vector(rs: RootSystem, alpha: int, kind: BlockKind) -> Tuple[int, ...]:
-    """The heights of the block X(0) of this kind at alpha on alpha's window, the
-    anchor first; X(m) is X(0) plus m there (`_meet`), so no cache is keyed by m."""
+    """The heights of the block X(0) of this kind at alpha on alpha's window, the anchor
+    first; X(m) is X(0) plus m there (`_meet`), so no cache is keyed by m.  Holds the one
+    node check: refuses an alpha that is not an int in 1..rank."""
+    if not 1 <= _check_int(alpha) <= rs.rank:
+        raise InvalidScheme(f"anchor a{alpha} outside 1..{rs.rank}")
     pos = rs.positive_roots
     tops = ({g for g, s in zip(pos, rs.short) if s} if kind is BlockKind.VERY_SPECIAL
             else _EXOTIC_TOPS.get(kind, ()))  # the roots where X(0) reaches 1
@@ -572,7 +575,7 @@ def _packed_kinds(rs: RootSystem, p: int, alpha: int, k: int) -> Tuple[Tuple, ..
     """(packed X(0), its ones on alpha's window, _chain_code, top) of each kind at
     alpha, in catalog order, in k-byte lanes: X(m) packs as X(0) plus m ones."""
     inf, kinds = (1 << 8 * k - 1) - 1, []
-    for c in sorted(code & 7 for _, code in _chain(rs, p, alpha)):
+    for c in sorted(code & 7 for code in _chain(rs, p, alpha)[1]):
         x, one = 0, 0
         for v in _meet(rs, p, {alpha: c}).heights:  # the first root leads
             x, one = x << 8 * k | (inf if v is INFINITE else v), one << 8 * k | (v is not INFINITE)
@@ -580,9 +583,9 @@ def _packed_kinds(rs: RootSystem, p: int, alpha: int, k: int) -> Tuple[Tuple, ..
     return tuple(kinds)
 
 
-def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], nodes: Sequence[int],
-                  max_height: int, normalized_only: bool) -> Tuple[Tuple, Tuple]:
-    """Distinct meets of one catalog block at each node off `levi` (`nodes`, in
+def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], max_height: int,
+                  normalized_only: bool) -> Tuple[Tuple, Tuple]:
+    """Distinct meets of one catalog block at each node off `levi` (in _levi_split's
     order), sorted by heights, and aligned with them their generated blocks' chain
     codes: the first tuple to reach a meet, each catalog in chain order and the
     partial meets in the order first reached, i.e. the lexicographically least."""
@@ -593,13 +596,14 @@ def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], nodes: Sequence[
     # normalized: a zero lane; a short one under the edge (the top short root is never Levi)
     sel = normalized_only and (short if edge_hypothesis(rs, p) else H)
     tuples: Dict[int, Tuple[int, ...]] = {H - low: ()}  # the full group
-    for i, alpha in enumerate(nodes, 1):
+    windows = _levi_split(rs, levi)[2]
+    for i, (alpha, _) in enumerate(windows, 1):
         kinds = _packed_kinds(rs, p, alpha, k)  # the catalog, m outer: chain order
         chain = [(x + m * one, c + 8 * m) for m in range(max_height + 1)
                  for x, one, c, top in kinds if m + top <= max_height]
         meets: Dict[int, Tuple[int, ...]] = {}
         # the normalized filter, at the last node, where the meets are whole
-        drop = sel and i == len(nodes)
+        drop = sel and i == len(windows)
         for a, t in tuples.items():
             aH = a | H
             for b, code in chain:
@@ -627,48 +631,46 @@ def anchored_candidates(
     """Catalog blocks at alpha whose height on alpha equals `anchor`, in
     increasing containment order (_chain); a bool or float node or anchor is refused."""
     a = _check_int(anchor)
-    return tuple(_block_of(alpha, k + 8 * a) for _, k in _chain(rs, p, alpha) if k + 8 * a >= 0)
+    return tuple(_block_of(alpha, k + 8 * a) for k in _chain(rs, p, alpha)[1] if k + 8 * a >= 0)
 
 
 @lru_cache(maxsize=None, typed=True)
-def _chain(rs: RootSystem, p: int, alpha: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """Per kind admitted at alpha (Standard; VerySpecial under an edge of multiplicity p;
-    ExoticH, ExoticL in G2, p = 2, at a1), X(0)'s window heights less its anchor height t
-    and k = c - 8t for its chain code c (so c = k & 7), sorted by k.  At anchor a the kind's
-    candidate X(a - t) has code k + 8a, and exists iff that is >= 0; Standard(m) lies in
-    X(m), X(m) in Standard(m+1), so this is the chain at every anchor.  Refuses an alpha
-    that is not an int in 1..rank."""
-    if not 1 <= _check_int(alpha) <= rs.rank:
-        raise InvalidScheme(f"anchor a{alpha} outside 1..{rs.rank}")
+def _chain(rs: RootSystem, p: int, alpha: int) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple]:
+    """(vectors, codes), aligned and sorted by code: per kind admitted at alpha (Standard;
+    VerySpecial under an edge of multiplicity p; ExoticH, ExoticL in G2, p = 2, at a1),
+    X(0)'s window heights less its anchor height t, and k = c - 8t for its chain code c (so
+    c = k & 7).  At anchor a the kind's candidate X(a - t) has code k + 8a, and exists iff
+    that is >= 0; Standard(m) lies in X(m), X(m) in Standard(m+1), so this is the chain at
+    every anchor.  Standard's _block_vector refuses an alpha that is not a node."""
     kinds = [BlockKind.STANDARD]
     if edge_hypothesis(rs, p):
         kinds.append(BlockKind.VERY_SPECIAL)
     if rs.rtype == _G2 and p == 2 and alpha == 1:
         kinds += [BlockKind.EXOTIC_H, BlockKind.EXOTIC_L]
-    vectors = [(_block_vector(rs, alpha, x), _chain_code(x, 0)) for x in kinds]
-    chain = [(tuple(v - h[0] for v in h), c - 8 * h[0]) for h, c in vectors]  # the anchor leads h
-    return tuple(sorted(chain, key=itemgetter(1)))
+    vectors = [(_block_vector(rs, alpha, x), _chain_code(x, 0)) for x in kinds]  # anchor first
+    codes, heights = zip(*sorted((c - 8 * h[0], tuple(v - h[0] for v in h)) for h, c in vectors))
+    return heights, codes  # the codes are distinct, so the sort reads only them
 
 
-def _window_cover(chain: Sequence[Tuple], hw: Tuple[int, ...]) -> Tuple[int, Tuple]:
+def _window_cover(vectors: Sequence[Tuple[int, ...]], hw: Tuple[int, ...]) -> Tuple[int, Tuple]:
     """The cover test over hw, a scheme's heights on a node's window (anchor first), by the
-    node's candidates (window heights, code) in chain order: the first that contains hw, as
-    its code and the window roots where the two are equal, else the last one's code and no
-    roots.  A block is INFINITE off its window and the scheme finite on it: ints compare."""
-    for h, c in chain:
+    window heights of the node's candidates in chain order: the index of the first that
+    contains hw and the window roots where the two are equal, else -1 (the last, the
+    fallback) and no roots.  A block is INFINITE off its window, the scheme finite on it."""
+    for i, h in enumerate(vectors):
         if all(map(ge, h, hw)):
-            return c, tuple(map(eq, h, hw))
-    return chain[-1][1], ()
+            return i, tuple(map(eq, h, hw))
+    return -1, ()
 
 
 def _covering(P: ParabolicScheme, alpha: int, window: Tuple[int, ...]) -> Tuple[int, Tuple]:
-    """_window_cover of P's window heights less the anchor's, a, by the chain table: k + 8a
-    is P's generated block.  No t <= a filter: a t = 1 kind (VerySpecial at a short node,
-    ExoticL) is -1 on the long roots of its window, which holds the highest root, so X(-1)
-    holds no scheme; Standard (k = 0) sorts after each k < 0, so the fallback is never one."""
-    a = P.heights[window[0]]
-    k, hits = _window_cover(_chain(P.rs, P.p, alpha), tuple([P.heights[i] - a for i in window]))
-    return k + 8 * a, hits
+    """_window_cover of P's window heights less the anchor's, a: codes[i] + 8a, for the index
+    i it returns, is P's generated block.  No t <= a filter: a t = 1 kind (VerySpecial at a
+    short node, ExoticL) is -1 on the long roots of its window, which holds the highest root,
+    so X(-1) holds no scheme; Standard (k = 0) sorts after each k < 0: never the fallback."""
+    a, (vectors, codes) = P.heights[window[0]], _chain(P.rs, P.p, alpha)
+    i, hits = _window_cover(vectors, tuple([P.heights[j] - a for j in window]))
+    return codes[i] + 8 * a, hits
 
 
 def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
@@ -683,7 +685,8 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     """
     if _check_int(alpha) in P.levi or not 1 <= alpha <= P.rs.rank:
         raise InvalidScheme(f"a{alpha} is not outside the Levi {sorted(P.levi)}")
-    return _block_of(alpha, _covering(P, alpha, dict(_levi_split(P.rs, P.levi)[2])[alpha])[0])
+    window = _levi_split(P.rs, frozenset())[2][alpha - 1][1]  # the node's, whatever the Levi
+    return _block_of(alpha, _covering(P, alpha, window)[0])
 
 
 def _generated_blocks(P: ParabolicScheme) -> Dict[int, int]:

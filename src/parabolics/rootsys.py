@@ -78,6 +78,8 @@ class RootSystemType:
 
     @classmethod
     def parse(cls, label: str) -> "RootSystemType":
+        if not isinstance(label, str):
+            raise InvalidRootSystem(f"cannot parse type label {label!r}")
         label = label.strip()
         if len(label) < 2 or not label[1:].isdecimal():
             raise InvalidRootSystem(f"cannot parse type label {label!r}")

@@ -166,10 +166,10 @@ def test_packing_a_catalog_leaves_no_block_vector_per_bound():
     # kinds are keyed by lane width: a new bound adds no _block_vector entry,
     # and a new packing only where the bound needs wider lanes
     rs = root_system("G2")
-    _census_meets(rs, 2, frozenset({2}), [1], 3, False)
+    _census_meets(rs, 2, frozenset({2}), 3, False)
     size, misses = _block_vector.cache_info().currsize, _packed_kinds.cache_info().misses
     for M in (4099, 4100, 126, 7):  # 2-byte lanes, then the 1-byte lanes of M = 3
-        schemes, codes = _census_meets(rs, 2, frozenset({2}), [1], M, False)
+        schemes, codes = _census_meets(rs, 2, frozenset({2}), M, False)
         assert len(schemes) == _catalog_size(rs, 2, 1, M)
         assert {_block_of(1, c) for (c,) in codes} == set(rank_one_catalog(rs, 2, 1, M))
         assert _packed_kinds.cache_info().misses <= misses + 1
@@ -180,7 +180,7 @@ def test_blocks_at_every_m_share_one_vector_per_kind():
     # block_phi, block_anchor_height, the anchored chains and reconstruction
     # form X(m) as X(0) plus m, so new heights add no _block_vector entry
     rs = root_system("G2")
-    for _, k in _chain(rs, 2, 1):
+    for k in _chain(rs, 2, 1)[1]:
         _block_vector(rs, 1, _block_of(1, k & 7).kind)
     size = _block_vector.cache_info().currsize
     for m in range(50, 60):

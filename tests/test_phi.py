@@ -780,7 +780,7 @@ def test_admitted_block_kinds_golden_table():
     for (label, p), expected in ADMITTED_KINDS.items():
         rs = root_system(label)
         got = tuple("".join(letter[_block_of(a, c).kind]
-                            for c in sorted(k & 7 for _, k in _chain(rs, p, a)))
+                            for c in sorted(k & 7 for k in _chain(rs, p, a)[1]))
                     for a in range(1, rs.rank + 1))
         assert got == expected, (label, p)
 
@@ -797,10 +797,11 @@ def test_the_chain_table_needs_no_anchor_filter(label):
     # containing any scheme; the last entry, the fallback, exists at every anchor
     rs = root_system(label)
     for p, alpha in itertools.product((2, 3, 5), range(1, rs.rank + 1)):
-        chain = _chain(rs, p, alpha)
-        for h, k in chain:
+        vectors, codes = _chain(rs, p, alpha)
+        assert len(vectors) == len(codes)
+        for h, k in zip(vectors, codes):
             assert k >= 0 or -1 in h, (label, p, alpha, k)
-        assert chain[-1][1] >= 0, (label, p, alpha)
+        assert codes[-1] >= 0, (label, p, alpha)
 
 
 def test_anchored_candidates_reject_alpha_outside_the_rank():
@@ -869,6 +870,20 @@ NAMED_REFUSALS = {
     "census query on a type label": (
         lambda: CensusQuery("B2", 2, frozenset(), 1), InvalidRootSystem,
         "census type 'B2' is not a RootSystemType"),
+    "type label that is an int": (
+        lambda: RootSystemType.parse(5), InvalidRootSystem, "cannot parse type label 5"),
+    "root system of no label": (
+        lambda: root_system(None), InvalidRootSystem, "cannot parse type label None"),
+    "scheme with no phi": (
+        lambda: ParabolicScheme(B2, 2, [], None), InvalidScheme, "phi None is not a mapping"),
+    "scheme with a list phi": (
+        lambda: ParabolicScheme(B2, 2, [], []), InvalidScheme, "phi [] is not a mapping"),
+    "block anchor height at a0": (
+        lambda: block_anchor_height(B2, very_special_block(0, 0)), InvalidScheme,
+        "anchor a0 outside 1..2"),
+    "block anchor height at a3": (
+        lambda: block_anchor_height(B2, standard_block(3, 0)), InvalidScheme,
+        "anchor a3 outside 1..2"),
 }
 
 

@@ -20,11 +20,15 @@ Hasse containment bitsets, built from the carried codes
 distinct schemes.  On each normalized cell it also runs `fano_census` and
 checks every row's Fano flag against `is_fano` and its certificate against
 `not_fano_certificate`, recomputed from the scheme alone; it expects None
-where the Picard rank is below 2 or that raises `ExoticBlocksPresent`.  A
+where the Picard rank is below 2 or that raises `ExoticBlocksPresent`.  On
+each cell whose diagram has an edge of multiplicity p (`edge_hypothesis`: B
+and C at p = 2, G2 at p = 3) it also checks that every row survives the very
+special isogeny's round trip, `vsi_pushforward(vsi_pullback(P)) == P`.  A
 cell that differs is named on stderr.  The script prints the cells, the
 oracle's candidates, the rows whose codes and reconstruction it checked, the
-pairs whose order it checked, the Fano rows it checked and the seconds, and
-exits 1 on a mismatch.  The 272 cells take 11-15 s on a 2-vCPU host.
+pairs whose order it checked, the Fano rows it checked, the rows whose
+isogeny round trip it checked and the seconds, and exits 1 on a mismatch.
+The 272 cells take 8-15 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -42,11 +46,14 @@ from parabolics import (
     RootSystemType,
     brute_force_enumerate,
     contains,
+    edge_hypothesis,
     fano_census,
     is_fano,
     is_valid,
     not_fano_certificate,
     reconstruct,
+    vsi_pullback,
+    vsi_pushforward,
 )
 from parabolics.census import _census
 from parabolics.errors import ExoticBlocksPresent
@@ -91,7 +98,7 @@ def fano_mismatches(q) -> Tuple[int, int]:
 
 
 def main() -> int:
-    cells = candidates = rows = pairs = fano_rows = mismatches = 0
+    cells = candidates = rows = pairs = fano_rows = trips = mismatches = 0
     start = time.perf_counter()
     for label, M in GRID:
         rtype = RootSystemType.parse(label)
@@ -117,7 +124,11 @@ def main() -> int:
                         if normalized:
                             checked, fano_bad = fano_mismatches(q)
                             fano_rows += checked
-                        if (not carried_ok or order_bad or fano_bad
+                        trip_ok = True
+                        if edge_hypothesis(q.system, p):
+                            trip_ok = all(vsi_pushforward(vsi_pullback(P)) == P for P in schemes)
+                            trips += len(schemes)
+                        if (not carried_ok or order_bad or fano_bad or not trip_ok
                                 or schemes != brute_force_enumerate(q)):
                             mismatches += 1
                             print(f"mismatch: {label} p={p} levi={list(levi)} M={M} "
@@ -125,7 +136,8 @@ def main() -> int:
     seconds = time.perf_counter() - start
     print(f"{cells} cells, {candidates} candidates, {rows} rows' codes and reconstructions, "
           f"{pairs} ordered pairs, "
-          f"{fano_rows} Fano rows, {seconds:.1f} s, {mismatches} mismatches")
+          f"{fano_rows} Fano rows, {trips} isogeny round trips, {seconds:.1f} s, "
+          f"{mismatches} mismatches")
     return 1 if mismatches else 0
 
 

@@ -114,13 +114,13 @@ MUTANTS = (
     ),
     Mutant(
         "cover-without-a", PHI,
-        "[1], ()\n", "[1], tuple(map(eq, h, hw))\n",
+        "return -1, ()", "return -1, tuple(map(eq, h, hw))",
         ("tests/test_phi.py",),
         "(a): a node with no anchored candidate containing P makes P invalid",
     ),
     Mutant(
         "cover-without-b", PHI,
-        "return c, tuple(map(eq, h, hw))", "return c, tuple(map(ge, h, hw))",
+        "return i, tuple(map(eq, h, hw))", "return i, tuple(map(ge, h, hw))",
         ("tests/test_phi.py",),
         "(b): a cover hits the window roots where it equals P, not every root it dominates",
     ),
@@ -132,9 +132,15 @@ MUTANTS = (
     ),
     Mutant(
         "cover-code-unshifted", PHI,
-        "return k + 8 * a, hits", "return k, hits",
+        "return codes[i] + 8 * a, hits", "return codes[i], hits",
         ("tests/test_phi.py",),
         "a single scheme's cover is relative to its anchor a, so its code is k + 8a",
+    ),
+    Mutant(
+        "block-vector-node-unchecked", PHI,
+        "if not 1 <= _check_int(alpha) <= rs.rank:", "if _check_int(alpha) is None:",
+        ("tests/test_phi.py",),
+        "_block_vector holds the one node check: a node outside 1..rank is refused",
     ),
     Mutant(
         "anchored-candidates-unfiltered", PHI,
@@ -156,7 +162,7 @@ MUTANTS = (
     ),
     Mutant(
         "generated-fallback-first", PHI,
-        "return chain[-1][1]", "return chain[0][1]",
+        "return -1, ()", "return 0, ()",
         ("tests/test_phi.py",),
         "with no containing candidate the generated block falls back to the largest",
     ),
@@ -175,8 +181,8 @@ MUTANTS = (
     ),
     Mutant(
         "census-projection-sum", CENSUS,
-        "tuples = math.prod(_catalog_size(rs, q.p, a, M) for a in nodes)",
-        "tuples = sum(_catalog_size(rs, q.p, a, M) for a in nodes)",
+        "tuples = math.prod(_catalog_size(rs, q.p, a, M) for a, _ in",
+        "tuples = sum(_catalog_size(rs, q.p, a, M) for a, _ in",
         ("tests/test_census.py",),
         "the census guard projects the product of the catalog sizes",
     ),
