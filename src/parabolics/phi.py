@@ -156,16 +156,16 @@ def _check_prime(p: object) -> None:
 
 @lru_cache(maxsize=None)
 def _levi_split(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[Tuple, Tuple, Tuple]:
-    """(roots, positions, windows) off the Levi: the positive roots not supported
-    inside it and their positions in the height vector, in root order, and the
-    (node, window) of each node off it.  A window holds the positions of the
+    """(roots, positions, windows) off the Levi: the positive roots not supported inside it
+    (those some window holds) and their positions in the height vector, in root order, and
+    the (node, window) of each node off it.  A window holds the positions of the
     node-supported roots, where a block at the node is finite; the node's is first."""
     pos = rs.positive_roots
-    positions = tuple(i for i, g in enumerate(pos) if not g.support() <= levi)
     windows = tuple(
         (a, tuple(i for i, g in enumerate(pos) if g.coeffs[a - 1]))
         for a in range(1, rs.rank + 1) if a not in levi
     )
+    positions = tuple(sorted({i for _, w in windows for i in w}))
     return tuple(map(pos.__getitem__, positions)), positions, windows
 
 
