@@ -4,6 +4,7 @@ Enumeration folds packed catalogs node by node over the non-Levi nodes,
 keeping each distinct meet with its generated blocks; the brute-force oracle
 instead tries every height function up to the bound and keeps the
 reconstruction fixpoints.  Where the guard admits, the two must agree exactly.
+The library decodes the fold's packed keys (`_decode`); the CLI formats them.
 
 The oracle is independent of the fold: it never calls the packed kernel or
 the block catalogs, only is_valid's cover test (`_window_cover` over the window
@@ -38,8 +39,10 @@ from .phi import (
     _chain,
     _check_prime,
     _containment_bitsets,
+    _lane_rows,
     _levi_split,
     _row_format,
+    _text_format,
     _window_cover,
     block_phi,  # unused here; the benchmark's tracer test reads census.block_phi
     is_normalized,
@@ -108,16 +111,25 @@ def enumerate_parabolics(q: CensusQuery) -> Tuple[ParabolicScheme, ...]:
     block-tuple product; intersection is associative, commutative and idempotent.
     Refuses, before packing a catalog, when that product exceeds the guard.
     """
-    return _census(q)[0]
+    keys, _, k = _census(q)
+    return _decode(q, keys, k)
 
 
-def _census(q: CensusQuery) -> Tuple[Tuple[ParabolicScheme, ...], Tuple[Tuple[int, ...], ...]]:
-    """The query's schemes and, aligned, their generated blocks' codes in _levi_split's order."""
+def _census(q: CensusQuery) -> Tuple[List[int], Tuple[Tuple[int, ...], ...], int]:
+    """The query's _census_meets: its packed keys, sorted, their generated blocks' codes
+    aligned (in _levi_split's order) and the lane width; refused over the census guard."""
     rs, M = q.system, q.max_height
     tuples = math.prod(_catalog_size(rs, q.p, a, M) for a, _ in _levi_split(rs, q.levi)[2])
     if tuples > CENSUS_GUARD:
         raise SearchSpaceTooLarge(f"{tuples} block tuples exceed the limit {CENSUS_GUARD}")
     return _census_meets(rs, q.p, q.levi, M, q.normalized_only)
+
+
+def _decode(q: CensusQuery, keys: Iterable[int], k: int) -> Tuple[ParabolicScheme, ...]:
+    """The schemes of the query's packed keys: lane.get(v, v) decodes a _lane_rows lane."""
+    rs, p, levi, lane = q.system, q.p, q.levi, {(1 << 8 * k - 1) - 1: INFINITE}
+    return tuple(ParabolicScheme._of(rs, p, levi, (*map(lane.get, c, c),))
+                 for c in _lane_rows(rs, keys, k))
 
 
 class _CoverMasks(dict):
@@ -189,8 +201,9 @@ def fano_census(q: CensusQuery) -> Tuple[FanoRow, ...]:
     is not Fano (its pairing value is negative), so it skips the Fano test."""
     rs, nodes = q.system, [a for a, _ in _levi_split(q.system, q.levi)[2]]
     g, cols = _least_gap(rs, q.p) if len(nodes) >= 2 else 0, [_columns(rs)[0][a - 1] for a in nodes]
+    keys, carried, k = _census(q)
     rows: List[FanoRow] = []
-    for P, codes in zip(*_census(q)):
+    for P, codes in zip(_decode(q, keys, k), carried):
         w = _weights(P)
         gated = g and (q.normalized_only or is_normalized(P))
         cert = _certificate(P, zip(codes, nodes), w, g) if gated else None
@@ -223,13 +236,14 @@ def hasse_diagram(q: CensusQuery) -> HasseDiagram:
     scheme j contains scheme i (strictly, as the schemes are distinct) and
     no scheme lies between, i.e. up[i] & down[j] is empty, over the census's
     chain codes.  Refuses, before building them, bitsets larger than the guard."""
-    schemes, codes = _census(q)
-    n = len(schemes)
+    keys, codes, k = _census(q)
+    n = len(keys)
     size = 2 * n * -(-n // 8)  # up and down: n bitsets of n bits each
     if size > HASSE_GUARD:
         raise SearchSpaceTooLarge(
             f"{size} bytes of Hasse bitsets for {n} schemes exceed the limit {HASSE_GUARD}"
         )
+    schemes = _decode(q, keys, k)
     up, down = _containment_bitsets(codes)
     edges = []
     for i, above in enumerate(up):
@@ -254,9 +268,33 @@ def schemes_to_jsonl(schemes: Iterable[ParabolicScheme]) -> str:
     return "".join(P.canonical_json() + "\n" for P in schemes)
 
 
+_CSV_HEADER = "type,prime,levi,phi"
+
+
 def schemes_to_csv(schemes: Iterable[ParabolicScheme]) -> str:
     rows = (_row_format(P.rs, P.levi).csv % P.p + P.to_compact() for P in schemes)
-    return "\n".join(["type,prime,levi,phi", *rows]) + "\n"
+    return "\n".join([_CSV_HEADER, *rows]) + "\n"
+
+
+def _census_lines(q: CensusQuery, form: str) -> Tuple[int, Iterable[str]]:
+    """(n, lines): the query's n schemes as the lines of schemes_to_jsonl, schemes_to_csv or
+    to_text, formatted lazily from _lane_rows by the same templates and getters, the prime
+    filled in first: no scheme is built."""
+    keys, _, k = _census(q)
+    rs, p, levi = q.system, q.p, q.levi
+    blank = ("%d",) * len(_levi_split(rs, levi)[1])
+    head: List[str] = []
+    if form == "text":
+        template, get = _text_format(rs, levi)
+        line = template.replace("%d", "%s") % (p, *blank)
+    elif form == "json":
+        template, get = _row_format(rs, levi).json
+        line = template.replace("%d", "%s") % (*blank, p)
+    else:
+        fmt, head = _row_format(rs, levi), [_CSV_HEADER + "\n"]
+        line, get = fmt.csv % p + fmt.compact[0], fmt.compact[1]
+    rows = map((line + "\n").__mod__, map(get, _lane_rows(rs, keys, k)))
+    return len(keys), itertools.chain(head, rows)
 
 
 def fano_to_csv(rows: Iterable[FanoRow]) -> str:

@@ -16,15 +16,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import __version__, CATALOG_VERSION
 from .census import (
     CensusQuery,
+    _census_lines,
     _check_catalogs,
-    enumerate_parabolics,
     fano_census,
     fano_summary,
     fano_to_csv,
     hasse_diagram,
     hasse_to_dot,
-    schemes_to_csv,
-    schemes_to_jsonl,
 )
 from .chevalley import structure_constant_magnitude
 from .errors import InvalidScheme, ParabolicsError
@@ -204,15 +202,13 @@ def _cmd_census(args, out) -> int:
     if args.format == "dot":
         print(hasse_to_dot(hasse_diagram(q)), end="", file=out)
         return 0
-    schemes = enumerate_parabolics(q)
-    if args.format == "csv":
-        print(schemes_to_csv(schemes), end="", file=out)
-    elif args.format == "text":
-        for P in schemes:
-            out.write(P.to_text() + "\n")
-        print(f"total {len(schemes)} schemes", file=out)
+    n, lines = _census_lines(q, args.format)
+    if args.format == "text":
+        for line in lines:
+            out.write(line)
+        print(f"total {n} schemes", file=out)
     else:
-        print(schemes_to_jsonl(schemes), end="", file=out)
+        print("".join(lines), end="", file=out)
     return 0
 
 

@@ -46,7 +46,9 @@ is the identity, which `is_valid` tests, without the meet, as a cover by the
 generated blocks, per window (`_window_cover` returns the cover's index in the
 chain).  A census meet's generated blocks are its chain-least generating tuple,
 so every census carries their codes out of its one fold (`_census_meets`), and
-the Hasse order compares them node by node (`_containment_bitsets`).
+the Hasse order compares them node by node (`_containment_bitsets`).  It returns
+the sorted packed keys, their codes and the lane width, and one lane reader
+(`_lane_rows`) turns a key into a row indexed like the heights.
 """
 
 from __future__ import annotations
@@ -584,11 +586,11 @@ def _packed_kinds(rs: RootSystem, p: int, alpha: int, k: int) -> Tuple[Tuple, ..
 
 
 def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], max_height: int,
-                  normalized_only: bool) -> Tuple[Tuple, Tuple]:
-    """Distinct meets of one catalog block at each node off `levi` (in _levi_split's
-    order), sorted by heights, and aligned with them their generated blocks' chain
-    codes: the first tuple to reach a meet, each catalog in chain order and the
-    partial meets in the order first reached, i.e. the lexicographically least."""
+                  normalized_only: bool) -> Tuple[List[int], Tuple, int]:
+    """(keys, codes, k): the distinct meets of one catalog block at each node off `levi`
+    (in _levi_split's order) as packed keys in k-byte lanes, sorted (so by heights), and
+    aligned their generated blocks' chain codes: the first tuple to reach a meet, each
+    catalog in chain order and the partial meets in the order first reached."""
     k = ((max_height + 1).bit_length() + 8) // 8  # heights to max_height, INFINITE, a guard bit
     H, short = _lane_masks(rs, k)
     g, low = 8 * k - 1, H >> 8 * k - 1
@@ -612,13 +614,18 @@ def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], max_height: int,
                 if x not in meets and not (drop and (x | H) - low & sel == sel):
                     meets[x] = (*t, code)
         tuples = meets
-    n, lane = len(rs.short) * k, {inf: INFINITE}  # lane.get(v, v) decodes a lane
     keys = sorted(tuples)
+    return keys, tuple(map(tuples.__getitem__, keys)), k
+
+
+def _lane_rows(rs: RootSystem, keys: Iterable[int], k: int) -> Iterable[Sequence[int]]:
+    """Each packed key in k-byte lanes as a row indexed like the heights, a lane's value at
+    its root's position (INFINITE as (1 << 8k - 1) - 1): the key's bytes for k = 1."""
+    n = len(rs.short) * k
     rows = (x.to_bytes(n, "big") for x in keys)
     if k > 1:
         rows = ([int.from_bytes(b[i:i + k], "big") for i in range(0, n, k)] for b in rows)
-    schemes = tuple(ParabolicScheme._of(rs, p, levi, (*map(lane.get, c, c),)) for c in rows)
-    return schemes, tuple(map(tuples.__getitem__, keys))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +690,8 @@ def generated_block(P: ParabolicScheme, alpha: int) -> RankOneBlock:
     block may contain P; the largest anchored candidate is then returned,
     and re-intersection will expose the mismatch.
     """
-    if _check_int(alpha) in P.levi or not 1 <= alpha <= P.rs.rank:
+    _block_vector(P.rs, _check_int(alpha), BlockKind.STANDARD)  # the node check, first
+    if alpha in P.levi:
         raise InvalidScheme(f"a{alpha} is not outside the Levi {sorted(P.levi)}")
     window = _levi_split(P.rs, frozenset())[2][alpha - 1][1]  # the node's, whatever the Levi
     return _block_of(alpha, _covering(P, alpha, window)[0])

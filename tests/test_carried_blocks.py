@@ -24,7 +24,7 @@ from parabolics import (
     not_fano_certificate,
     root_system,
 )
-from parabolics.census import _census
+from parabolics.census import _census, _decode
 from parabolics.errors import ExoticBlocksPresent
 from parabolics.geometry import picard_rank
 from parabolics.phi import _block_of, _generated_blocks, _levi_split
@@ -51,7 +51,8 @@ def queries(label, p, bounds=range(4)):
 def test_carried_blocks_are_the_generated_blocks(label, p):
     rows = 0
     for q in queries(label, p):
-        schemes, carried = _census(q)
+        keys, carried, k = _census(q)
+        schemes = _decode(q, keys, k)
         assert schemes == enumerate_parabolics(q)
         assert len(carried) == len(schemes)
         nodes = [a for a, _ in _levi_split(q.system, q.levi)[2]]

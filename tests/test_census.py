@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -34,6 +35,7 @@ from parabolics import (
     vsi_pullback,
 )
 from parabolics.census import CENSUS_GUARD
+from parabolics.cli import run
 from parabolics.errors import InvalidScheme, SearchSpaceTooLarge
 from parabolics.rootsys import check_levi
 
@@ -226,7 +228,7 @@ GUARD_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "F4"]
 def test_census_guard_projects_the_catalog_product(monkeypatch):
     # the fold is stubbed: only the guard runs, against a limit at the product
     # of the catalog sizes, then one below it
-    monkeypatch.setattr(parabolics.census, "_census_meets", lambda *args: ((), ()))
+    monkeypatch.setattr(parabolics.census, "_census_meets", lambda *args: ([], (), 1))
     count = 0
     for label in GUARD_TYPES:
         rs = root_system(label)
@@ -245,13 +247,22 @@ def test_census_guard_projects_the_catalog_product(monkeypatch):
     assert count == 540
 
 
-def test_census_guard_admits_b6_and_refuses_in_every_census(monkeypatch):
-    monkeypatch.setattr(parabolics.census, "_census_meets", lambda *args: ((), ()))
+def test_census_guard_admits_b6_and_refuses_in_every_census(monkeypatch, capsys):
+    monkeypatch.setattr(parabolics.census, "_census_meets", lambda *args: ([], (), 1))
     assert enumerate_parabolics(q("B6", 2, (), 4)) == ()  # 531441 block tuples
     over = q("A1", 2, (), CENSUS_GUARD)  # CENSUS_GUARD + 1 blocks at a1
     for census in (enumerate_parabolics, fano_census, hasse_diagram):
         with pytest.raises(SearchSpaceTooLarge, match=f"exceed the limit {CENSUS_GUARD}"):
             census(over)
+    for form in ("json", "csv", "text"):  # the CLI census, formatted from the lanes
+        capsys.readouterr()
+        argv = ["census", "--type", "A1", "--prime", "2", "--levi", "",
+                "--max-height", str(CENSUS_GUARD), "--format", form]
+        out = io.StringIO()
+        assert run(argv, out) == 1 and out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("SearchSpaceTooLarge: ") and \
+            err.endswith(f" exceed the limit {CENSUS_GUARD}\n"), form
 
 
 def test_catalog_size_is_the_catalog_length():

@@ -169,8 +169,8 @@ def test_packing_a_catalog_leaves_no_block_vector_per_bound():
     _census_meets(rs, 2, frozenset({2}), 3, False)
     size, misses = _block_vector.cache_info().currsize, _packed_kinds.cache_info().misses
     for M in (4099, 4100, 126, 7):  # 2-byte lanes, then the 1-byte lanes of M = 3
-        schemes, codes = _census_meets(rs, 2, frozenset({2}), M, False)
-        assert len(schemes) == _catalog_size(rs, 2, 1, M)
+        keys, codes, k = _census_meets(rs, 2, frozenset({2}), M, False)
+        assert len(keys) == _catalog_size(rs, 2, 1, M) and k == (1 if M < 127 else 2)
         assert {_block_of(1, c) for (c,) in codes} == set(rank_one_catalog(rs, 2, 1, M))
         assert _packed_kinds.cache_info().misses <= misses + 1
     assert _block_vector.cache_info().currsize == size

@@ -51,7 +51,7 @@ from parabolics.errors import (
     MismatchedSchemes,
 )
 from parabolics.geometry import NotFanoCertificate
-from parabolics.census import _census
+from parabolics.census import _census, _decode
 from parabolics.phi import (
     _block_of,
     _canonical,
@@ -333,7 +333,9 @@ def test_containment_bitsets_match_pairwise_contains(label, p):
     exotic = 0
     for r, M, normalized in itertools.product(range(rs.rank + 1), bounds, (False, True)):
         for levi in itertools.combinations(nodes, r):
-            schemes, codes = _census(CensusQuery(rs.rtype, p, frozenset(levi), M, normalized))
+            query = CensusQuery(rs.rtype, p, frozenset(levi), M, normalized)
+            keys, codes, k = _census(query)
+            schemes = _decode(query, keys, k)
             up, down = _containment_bitsets(codes)
             for i, Q in enumerate(schemes):
                 assert up[i] == sum(1 << j for j, P in enumerate(schemes)
@@ -884,6 +886,15 @@ NAMED_REFUSALS = {
     "block anchor height at a3": (
         lambda: block_anchor_height(B2, standard_block(3, 0)), InvalidScheme,
         "anchor a3 outside 1..2"),
+    "generated block at a0": (
+        lambda: generated_block(reduced_scheme(B2, 2), 0), InvalidScheme,
+        "anchor a0 outside 1..2"),
+    "generated block at a3": (
+        lambda: generated_block(reduced_scheme(B2, 2), 3), InvalidScheme,
+        "anchor a3 outside 1..2"),
+    "generated block at a Levi node": (
+        lambda: generated_block(reduced_scheme(B2, 2, [1]), 1), InvalidScheme,
+        "a1 is not outside the Levi [1]"),
 }
 
 

@@ -1,6 +1,7 @@
 """Deep sweep: the census equals the brute-force oracle, carries the
 generated blocks, is fixed by reconstruction, orders its rows by chain code,
-and certifies its Fano rows, on a grid beyond Tier-1.
+formats its rows from the packed lanes as from its schemes, and certifies
+its Fano rows, on a grid beyond Tier-1.
 
     python3 tools/deep_sweep.py
 
@@ -9,8 +10,11 @@ package is imported from its `src/`.  A cell is one (type, prime, Levi
 subset, mode) query: B4, C4 and D4 at height bound 1, B3 and C3 at 3 and G2
 at 6, for the primes 2 and 3, every Levi subset (the Borel and the whole
 group included) and both modes (all schemes, normalized only).  Each cell
-checks that the census (`_census(q)`, whose schemes `enumerate_parabolics`
-returns) equals `brute_force_enumerate(q)`, that every row's carried
+checks that the census (`_census(q)`, whose keys `_decode` turns into the
+schemes `enumerate_parabolics` returns) equals `brute_force_enumerate(q)`,
+that the CLI's json, csv and text lines, formatted from the packed lanes
+(`_census_lines`), equal the public writers over those schemes
+(`schemes_to_jsonl`, `schemes_to_csv`, `to_text`), that every row's carried
 chain codes are the row's `_generated_blocks`, and that every row P is valid
 and its own reconstruction (`is_valid(P)`, `reconstruct(P) == P`), so the
 single-scheme cover and the meet run on every row.  On each cell of at most
@@ -25,10 +29,11 @@ each cell whose diagram has an edge of multiplicity p (`edge_hypothesis`: B
 and C at p = 2, G2 at p = 3) it also checks that every row survives the very
 special isogeny's round trip, `vsi_pushforward(vsi_pullback(P)) == P`.  A
 cell that differs is named on stderr.  The script prints the cells, the
-oracle's candidates, the rows whose codes and reconstruction it checked, the
-pairs whose order it checked, the Fano rows it checked, the rows whose
-isogeny round trip it checked and the seconds, and exits 1 on a mismatch.
-The 272 cells take 8-15 s on a 2-vCPU host.
+oracle's candidates, the rows whose codes, reconstruction and three
+lane-formatted lines it checked, the pairs whose order it checked, the Fano
+rows it checked, the rows whose isogeny round trip it checked and the
+seconds, and exits 1 on a mismatch.  The 272 cells take 8-15 s on a 2-vCPU
+host.
 """
 
 from __future__ import annotations
@@ -52,10 +57,12 @@ from parabolics import (
     is_valid,
     not_fano_certificate,
     reconstruct,
+    schemes_to_csv,
+    schemes_to_jsonl,
     vsi_pullback,
     vsi_pushforward,
 )
-from parabolics.census import _census
+from parabolics.census import _census, _census_lines, _decode
 from parabolics.errors import ExoticBlocksPresent
 from parabolics.geometry import picard_rank
 from parabolics.phi import _containment_bitsets, _generated_blocks, _levi_split
@@ -77,6 +84,14 @@ def order_mismatches(schemes, codes) -> int:
             above = contains(P, Q)
             bad += (up[i] >> j & 1) != above or (down[j] >> i & 1) != above
     return bad
+
+
+def lane_mismatches(q, schemes) -> int:
+    """The forms (json, csv, text) whose lane-formatted lines differ from the public
+    writers' output over the decoded schemes."""
+    written = {"json": schemes_to_jsonl(schemes), "csv": schemes_to_csv(schemes),
+               "text": "".join(P.to_text() + "\n" for P in schemes)}
+    return sum("".join(_census_lines(q, form)[1]) != text for form, text in written.items())
 
 
 def expected_certificate(P):
@@ -111,8 +126,10 @@ def main() -> int:
                         cells += 1
                         domain = _levi_split(q.system, q.levi)[1]
                         candidates += (M + 1) ** len(domain)
-                        schemes, carried = _census(q)
+                        keys, carried, k = _census(q)
+                        schemes = _decode(q, keys, k)
                         rows += len(schemes)
+                        lanes_bad = lane_mismatches(q, schemes)
                         carried_ok = all(codes == tuple(_generated_blocks(P).values())
                                          and is_valid(P) and reconstruct(P) == P
                                          for P, codes in zip(schemes, carried))
@@ -128,14 +145,14 @@ def main() -> int:
                         if edge_hypothesis(q.system, p):
                             trip_ok = all(vsi_pushforward(vsi_pullback(P)) == P for P in schemes)
                             trips += len(schemes)
-                        if (not carried_ok or order_bad or fano_bad or not trip_ok
+                        if (not carried_ok or lanes_bad or order_bad or fano_bad or not trip_ok
                                 or schemes != brute_force_enumerate(q)):
                             mismatches += 1
                             print(f"mismatch: {label} p={p} levi={list(levi)} M={M} "
                                   f"normalized={normalized}", file=sys.stderr)
     seconds = time.perf_counter() - start
-    print(f"{cells} cells, {candidates} candidates, {rows} rows' codes and reconstructions, "
-          f"{pairs} ordered pairs, "
+    print(f"{cells} cells, {candidates} candidates, {rows} rows' codes, reconstructions "
+          f"and json, csv and text lines, {pairs} ordered pairs, "
           f"{fano_rows} Fano rows, {trips} isogeny round trips, {seconds:.1f} s, "
           f"{mismatches} mismatches")
     return 1 if mismatches else 0

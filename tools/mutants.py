@@ -180,6 +180,18 @@ MUTANTS = (
         "only a certified row skips the Fano test; a row without a certificate may fail it",
     ),
     Mutant(
+        "lane-reader-low-byte", PHI,
+        'int.from_bytes(b[i:i + k], "big")', "b[i + k - 1]",
+        ("tests/test_census_lanes.py",),
+        "a lane wider than a byte is read whole: a height past 255 needs its high byte",
+    ),
+    Mutant(
+        "lane-writer-borel-positions", CENSUS,
+        "len(_levi_split(rs, levi)[1])", "len(_levi_split(rs, frozenset())[1])",
+        ("tests/test_census_lanes.py",),
+        "the lane writer leaves a %d for each finite position of the query's Levi subset",
+    ),
+    Mutant(
         "census-projection-sum", CENSUS,
         "tuples = math.prod(_catalog_size(rs, q.p, a, M) for a, _ in",
         "tuples = sum(_catalog_size(rs, q.p, a, M) for a, _ in",
