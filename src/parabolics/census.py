@@ -42,7 +42,6 @@ from .phi import (
     _lane_rows,
     _levi_split,
     _row_format,
-    _text_format,
     _window_cover,
     block_phi,  # unused here; the benchmark's tracer test reads census.block_phi
     is_normalized,
@@ -259,9 +258,14 @@ def hasse_diagram(q: CensusQuery) -> HasseDiagram:
 # Writers (CSV / JSON-lines / DOT)
 
 
-def phi_hash(P: ParabolicScheme) -> str:
+def _hash(line: str) -> str:
+    """The first 12 hex digits of the SHA-256 of a canonical JSON line: the phi-hash."""
     import hashlib  # only here, so importing the package does not load it
-    return hashlib.sha256(P.canonical_json().encode()).hexdigest()[:12]
+    return hashlib.sha256(line.encode()).hexdigest()[:12]
+
+
+def phi_hash(P: ParabolicScheme) -> str:
+    return _hash(P.canonical_json())
 
 
 def schemes_to_jsonl(schemes: Iterable[ParabolicScheme]) -> str:
@@ -272,41 +276,34 @@ _CSV_HEADER = "type,prime,levi,phi"
 
 
 def schemes_to_csv(schemes: Iterable[ParabolicScheme]) -> str:
-    rows = (_row_format(P.rs, P.levi).csv % P.p + P.to_compact() for P in schemes)
-    return "\n".join([_CSV_HEADER, *rows]) + "\n"
+    rows = [_CSV_HEADER]
+    for P in schemes:
+        head, tail, get = _row_format(P.rs, P.levi, "csv")
+        rows.append((head + str(P.p) + tail) % get(P.heights))
+    return "\n".join(rows) + "\n"
 
 
 def _census_lines(q: CensusQuery, form: str) -> Tuple[int, Iterable[str]]:
     """(n, lines): the query's n schemes as the lines of schemes_to_jsonl, schemes_to_csv or
-    to_text, formatted lazily from _lane_rows by the same templates and getters, the prime
-    filled in first: no scheme is built."""
+    to_text, formatted lazily from _lane_rows by the same row format: no scheme is built."""
     keys, _, k = _census(q)
-    rs, p, levi = q.system, q.p, q.levi
-    blank = ("%d",) * len(_levi_split(rs, levi)[1])
-    head: List[str] = []
-    if form == "text":
-        template, get = _text_format(rs, levi)
-        line = template.replace("%d", "%s") % (p, *blank)
-    elif form == "json":
-        template, get = _row_format(rs, levi).json
-        line = template.replace("%d", "%s") % (*blank, p)
-    else:
-        fmt, head = _row_format(rs, levi), [_CSV_HEADER + "\n"]
-        line, get = fmt.csv % p + fmt.compact[0], fmt.compact[1]
-    rows = map((line + "\n").__mod__, map(get, _lane_rows(rs, keys, k)))
-    return len(keys), itertools.chain(head, rows)
+    head, tail, get = _row_format(q.system, q.levi, form)
+    rows = map((head + str(q.p) + tail + "\n").__mod__, map(get, _lane_rows(q.system, keys, k)))
+    return len(keys), itertools.chain([_CSV_HEADER + "\n"] if form == "csv" else [], rows)
 
 
 def fano_to_csv(rows: Iterable[FanoRow]) -> str:
-    """One line per row; the row format is read once per run on one (system, Levi, prime)."""
-    import hashlib  # only here, so importing the package does not load it
+    """One line per row: the CSV columns before phi, then the phi-hash; the row formats are
+    read once per run on one (system, Levi, prime)."""
     lines = ["type,p,levi,phi-hash,fano,certificate-root,pairing-value"]
     for (rs, levi, p), run in itertools.groupby(rows, lambda r: (r[0].rs, r[0].levi, r[0].p)):
-        fmt = _row_format(rs, levi)
-        head, (template, get) = fmt.csv % p, fmt.json
+        head, tail, _ = _row_format(rs, levi, "csv")
+        columns = (head + str(p) + tail).rpartition(",")[0]  # phi is the last column
+        head, tail, get = _row_format(rs, levi, "json")
+        template = head + str(p) + tail
         for P, fano, cert in run:
-            digest = hashlib.sha256((template % (*get(P.heights), p)).encode()).hexdigest()
-            lines.append(f"{head}{digest[:12]},{'true' if fano else 'false'},"
+            digest = _hash(template % get(P.heights))
+            lines.append(f"{columns},{digest},{'true' if fano else 'false'},"
                          f"{cert.beta_l if cert else ''},{cert.pairing_value if cert else ''}")
     return "\n".join(lines) + "\n"
 

@@ -9,6 +9,7 @@ r+1 and its vanishing modulo p are needed here; signs are never computed.
 from __future__ import annotations
 
 from .errors import DegenerateRootPair
+from .phi import _check_prime
 from .rootsys import Root, RootSystem
 
 
@@ -32,4 +33,5 @@ def structure_constant_magnitude(rs: RootSystem, gamma: Root, delta: Root) -> in
 
 def vanishes_mod_p(rs: RootSystem, gamma: Root, delta: Root, p: int) -> bool:
     """Whether the structure constant is zero over a field of characteristic p."""
+    _check_prime(p)
     return structure_constant_magnitude(rs, gamma, delta) % p == 0

@@ -40,6 +40,7 @@ from .rootsys import (
     RootSystem,
     RootSystemType,
     _incidence_root,
+    check_levi,
     levi_components,
     very_special_dual,
 )
@@ -89,6 +90,7 @@ def anticanonical_character(P: ParabolicScheme) -> Character:
 
 def is_ample(rs: RootSystem, levi: FrozenSet[int], lam: Character) -> bool:
     """Strict positivity of (lam, alpha) over the simple roots off the Levi."""
+    levi = check_levi(rs, levi)
     return all(
         character_pairing(rs, lam, rs.simple_roots[a - 1]) > 0
         for a in range(1, rs.rank + 1)

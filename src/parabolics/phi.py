@@ -37,8 +37,8 @@ plus m on the node's window and INFINITE elsewhere, formed where it is used
 from X(0), cached per kind as its window heights by `_block_vector` (the one
 check that a node is an int in 1..rank) and packed per lane width by
 `_packed_kinds`.  Per Levi subset, `_levi_split` caches the roots off it, their
-positions, and each node's window in the one node order every caller reads,
-and `_row_format` every writer's templates.
+positions, and each node's window in the one node order every caller reads;
+per output form, `_row_format` is the one statement of how a row of it prints.
 
 Reconstruction meets the generated block at each node, the least anchored
 candidate containing the scheme; a height function is valid exactly when this
@@ -278,18 +278,18 @@ class ParabolicScheme:
 
     def canonical_json(self) -> str:
         """_canonical(self.to_json_dict()), filled into the cached row format."""
-        template, get = _row_format(self.rs, self.levi).json
-        return template % (*get(self.heights), self.p)
+        head, tail, get = _row_format(self.rs, self.levi, "json")
+        return (head + str(self.p) + tail) % get(self.heights)
 
     def to_text(self) -> str:
         """A header line, then a `  phi(<root>) = <height>` line per root off the Levi."""
-        template, get = _text_format(self.rs, self.levi)
-        return template % (self.p, *get(self.heights))
+        head, tail, get = _row_format(self.rs, self.levi, "text")
+        return (head + str(self.p) + tail) % get(self.heights)
 
     def to_compact(self) -> str:
         """The heights off the Levi in root order, joined by ';' (the CSV and DOT field)."""
-        template, get = _row_format(self.rs, self.levi).compact
-        return template % get(self.heights)
+        head, _, get = _row_format(self.rs, self.levi, "compact")
+        return head % get(self.heights)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ParabolicScheme":
@@ -323,37 +323,27 @@ def _json_keys(rs: RootSystem) -> Tuple[str, ...]:
     return tuple(_canonical(list(g.coeffs)) for g in rs.positive_roots)
 
 
-class _RowFormat(NamedTuple):
-    """Per format of one (system, Levi subset): a %d template, the getter of its heights."""
-
-    json: Tuple[str, Callable]  # the heights in sort_keys order, then the prime
-    compact: Tuple[str, Callable]  # "%d;...;%d", the finite heights in root order
-    csv: str  # the CSV columns before phi, "<type>,%d,<levi>,", a %d for the prime
-
-
 @lru_cache(maxsize=None)
-def _row_format(rs: RootSystem, levi: FrozenSet[int]) -> _RowFormat:
-    """Every row format of the schemes on (rs, levi), from the per-system labels."""
+def _row_format(rs: RootSystem, levi: FrozenSet[int], form: str) -> Tuple[str, str, Callable]:
+    """(head, tail, get) of a `form` row on (rs, levi): at prime p, (head + str(p) + tail) %
+    get(heights).  Forms: "json" (canonical_json), "text" (to_text), "csv" (a schemes_to_csv
+    row, phi last), "compact" (to_compact, the CSV field and DOT label: head % get(heights))."""
     def pick(ix):  # an exact-size tuple; itemgetter returns one for two or more indices
         return itemgetter(*ix) if len(ix) > 1 else lambda h: tuple([h[i] for i in ix])
 
-    keys, finite = _json_keys(rs), _levi_split(rs, levi)[1]
-    blank = tuple("%d" if i in finite else INFINITE for i in range(len(rs.positive_roots)))
-    json_row = _canonical(ParabolicScheme._of(rs, "%d", levi, blank).to_json_dict())
-    return _RowFormat(
-        (json_row.replace('"%d"', "%d"), pick(sorted(finite, key=keys.__getitem__))),
-        (";".join(["%d"] * len(finite)), pick(finite)),
-        f"{rs.rtype},%d,{' '.join(map(str, sorted(levi)))},",
-    )
-
-
-@lru_cache(maxsize=None)
-def _text_format(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[str, Callable]:
-    """The text row format of (rs, levi), as a _RowFormat entry; apart from
-    _row_format, so that it is built only where a scheme prints as text."""
-    lines = "".join(f"\n  phi({rs.positive_roots[i]}) = %d" for i in _levi_split(rs, levi)[1])
-    get = _row_format(rs, levi).compact[1]
-    return f"type {rs.rtype}  prime %d  levi {sorted(levi)}{lines}", get
+    finite = _levi_split(rs, levi)[1]
+    get, fields = pick(finite), ";".join(["%d"] * len(finite))
+    if form == "json":  # the heights in sort_keys order, then the prime
+        blank = tuple("%d" if i in finite else INFINITE for i in range(len(rs.positive_roots)))
+        row = _canonical(ParabolicScheme._of(rs, "%p", levi, blank).to_json_dict())
+        head, tail = row.replace('"%d"', "%d").split('"%p"')
+        return head, tail, pick(sorted(finite, key=_json_keys(rs).__getitem__))
+    if form == "text":
+        lines = "".join(f"\n  phi({rs.positive_roots[i]}) = %d" for i in finite)
+        return f"type {rs.rtype}  prime ", f"  levi {sorted(levi)}{lines}", get
+    if form == "csv":
+        return f"{rs.rtype},", f",{' '.join(map(str, sorted(levi)))},{fields}", get
+    return fields, "", get
 
 
 def reduced_scheme(rs: RootSystem, p: int, levi: Iterable[int] = ()) -> ParabolicScheme:
@@ -390,6 +380,8 @@ class RankOneBlock:
 
     def __post_init__(self) -> None:
         _check_int(self.alpha)
+        if not isinstance(self.kind, BlockKind):
+            raise InvalidScheme(f"block kind {self.kind!r} is not a BlockKind")
         _check_int(self.m)
 
     @property
@@ -637,6 +629,7 @@ def anchored_candidates(
 ) -> Tuple[RankOneBlock, ...]:
     """Catalog blocks at alpha whose height on alpha equals `anchor`, in
     increasing containment order (_chain); a bool or float node or anchor is refused."""
+    _check_prime(p)
     a = _check_int(anchor)
     return tuple(_block_of(alpha, k + 8 * a) for k in _chain(rs, p, alpha)[1] if k + 8 * a >= 0)
 

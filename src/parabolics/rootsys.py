@@ -81,7 +81,7 @@ class RootSystemType:
         if not isinstance(label, str):
             raise InvalidRootSystem(f"cannot parse type label {label!r}")
         label = label.strip()
-        if len(label) < 2 or not label[1:].isdecimal():
+        if len(label) < 2 or not (label[1:].isascii() and label[1:].isdecimal()):
             raise InvalidRootSystem(f"cannot parse type label {label!r}")
         return cls(label[0].upper(), int(label[1:]))
 

@@ -12,6 +12,7 @@ from parabolics import (
     CensusQuery,
     KernelKind,
     ParabolicScheme,
+    RankOneBlock,
     Root,
     RootSystemType,
     anchored_candidates,
@@ -29,6 +30,7 @@ from parabolics import (
     generated_block,
     intersect,
     intersect_all,
+    is_ample,
     is_normalized,
     is_valid,
     normalize,
@@ -39,6 +41,7 @@ from parabolics import (
     standard_block,
     structure_constant_magnitude,
     very_special_block,
+    vanishes_mod_p,
     very_special_dual,
     vsi_pullback,
     vsi_pushforward,
@@ -50,7 +53,7 @@ from parabolics.errors import (
     KernelNotContained,
     MismatchedSchemes,
 )
-from parabolics.geometry import NotFanoCertificate
+from parabolics.geometry import NotFanoCertificate, anticanonical_character
 from parabolics.census import _census, _decode
 from parabolics.phi import (
     _block_of,
@@ -895,6 +898,32 @@ NAMED_REFUSALS = {
     "generated block at a Levi node": (
         lambda: generated_block(reduced_scheme(B2, 2, [1]), 1), InvalidScheme,
         "a1 is not outside the Levi [1]"),
+    "anchored candidates in characteristic 4": (
+        lambda: anchored_candidates(B2, 4, 1, 0), InvalidScheme, "characteristic 4 is not prime"),
+    "anchored candidates in a bool characteristic": (
+        lambda: anchored_candidates(B2, True, 1, 0), InvalidScheme,
+        "characteristic True is not prime"),
+    "anchored candidates past the prime limit": (
+        lambda: anchored_candidates(B2, 2 ** 64 + 13, 1, 0), InvalidScheme,
+        "characteristic 18446744073709551629 is not below the limit 2**64"),
+    "block of a kind given by name": (
+        lambda: RankOneBlock(1, "Standard", 0), InvalidScheme,
+        "block kind 'Standard' is not a BlockKind"),
+    "structure constant in characteristic 0": (
+        lambda: vanishes_mod_p(B2, Root.of(1, 0), Root.of(0, 1), 0), InvalidScheme,
+        "characteristic 0 is not prime"),
+    "structure constant in characteristic 4": (
+        lambda: vanishes_mod_p(B2, Root.of(1, 0), Root.of(0, 1), 4), InvalidScheme,
+        "characteristic 4 is not prime"),
+    "type label with a non-ASCII rank": (
+        lambda: RootSystemType.parse("B\u0663"), InvalidRootSystem,
+        "cannot parse type label 'B\u0663'"),
+    "ampleness off a node outside the rank": (
+        lambda: is_ample(B2, {5}, anticanonical_character(reduced_scheme(B2, 2))), InvalidScheme,
+        "Levi subset [5] outside 1..2"),
+    "ampleness off a string Levi subset": (
+        lambda: is_ample(B2, "x", anticanonical_character(reduced_scheme(B2, 2))), InvalidScheme,
+        "'x' is not an integer"),
 }
 
 
@@ -904,6 +933,14 @@ def test_named_refusals(case):
     with pytest.raises(error) as raised:
         call()
     assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_anchored_candidates_refuse_a_characteristic_before_the_chain_table():
+    before = _chain.cache_info().currsize
+    for p in (4, True, 2 ** 64 + 13):
+        with pytest.raises(InvalidScheme):
+            anchored_candidates(B2, p, 1, 0)
+    assert _chain.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("case", sorted(UNCOERCED))

@@ -6,7 +6,8 @@ row formats; the reference formats each row from scratch and never reads those
 caches.  Every Levi subset of the types below, the empty and the full one
 included, carries heights drawn from 0, 9, 10, 127 and 130, so one-, two- and
 three-digit values meet in a row; one census reaches height 130, where the
-census kernel packs two-byte lanes.  A Fano line is checked whole: its flag
+census kernel packs two-byte lanes.  One list interleaves systems, primes and
+Levi subsets from row to row, so no writer may carry a row format over.  A Fano line is checked whole: its flag
 against `is_fano`, its certificate columns against `not_fano_certificate`, on
 censuses that certify, and once over the rows of several queries interleaved;
 its hash column is also checked against the public `phi_hash`.
@@ -101,6 +102,19 @@ def check_writers(schemes):
 def test_writers_match_the_reference_on_every_levi_subset(label):
     for p in PRIMES:
         check_writers(schemes_over_every_levi(label, p))
+
+
+def test_writers_match_the_reference_on_interleaved_rows():
+    # one list over two systems, three primes and every Levi subset, each row on
+    # another (system, prime, Levi) than the row before: a writer that kept one
+    # row's format for the next would print that row wrong
+    runs = [schemes_over_every_levi(label, p) for label in ("B2", "G2") for p in PRIMES]
+    runs = [run[5 * r:] + run[:5 * r] for r, run in enumerate(runs)]  # five schemes per Levi
+    rows = [P for group in zip(*runs) for P in group]
+    shapes = [(P.rs, P.p, P.levi) for P in rows]
+    assert all(a != b for a, b in zip(shapes, shapes[1:]))
+    assert [len(set(column)) for column in zip(*shapes[:6])] == [2, 3, 4]  # systems, primes, Levis
+    check_writers(rows)
 
 
 def test_writers_match_the_reference_on_a_two_byte_lane_census():

@@ -186,10 +186,29 @@ MUTANTS = (
         "a lane wider than a byte is read whole: a height past 255 needs its high byte",
     ),
     Mutant(
-        "lane-writer-borel-positions", CENSUS,
-        "len(_levi_split(rs, levi)[1])", "len(_levi_split(rs, frozenset())[1])",
+        "lane-writer-borel-positions", PHI,
+        "finite = _levi_split(rs, levi)[1]", "finite = _levi_split(rs, frozenset())[1]",
         ("tests/test_census_lanes.py",),
-        "the lane writer leaves a %d for each finite position of the query's Levi subset",
+        "a row format has a %d for each finite position of its own Levi subset",
+    ),
+    Mutant(
+        "row-format-prime-slot", PHI,
+        'f"type {rs.rtype}  prime "', 'f"type {rs.rtype} prime "',
+        ("tests/test_writers.py",),
+        "the text row's prime sits after two spaces, as in to_text's documented header",
+    ),
+    Mutant(
+        "levi-split-drops-own-root", PHI,
+        "for _, w in windows for i in w}", "for _, w in windows for i in w[1:]}",
+        ("tests/test_levi_split.py",),
+        "a node's own simple root is off the Levi: the positions hold every window whole",
+    ),
+    Mutant(
+        "fast-args-admits-any-choice", "src/parabolics/cli.py",
+        "\n        if action.choices is not None and value not in action.choices:\n"
+        "            return None", "",
+        ("tests/test_cli_usage.py",),
+        "a value outside an option's choices gives up to argparse, which refuses it",
     ),
     Mutant(
         "census-projection-sum", CENSUS,
