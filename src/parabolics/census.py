@@ -52,8 +52,8 @@ from .rootsys import RootSystem, RootSystemType, _check_int, build_root_system, 
 BRUTE_FORCE_GUARD = 10 ** 7
 #: the most block tuples a census, or catalog blocks a command, may project (B6 p=2 M=4: 531441)
 CENSUS_GUARD = 10 ** 6
-#: the most bytes a Hasse diagram's two containment bitsets may project,
-#: 2*n*ceil(n/8) for n schemes: it admits n <= 32768 (B6, p=2, M=4 has 63125)
+#: the most bytes a Hasse diagram may project for its containment bitsets, twice the
+#: n*ceil(n/8) of its one list for n schemes: it admits n <= 32768 (B6, p=2, M=4 has 63125)
 HASSE_GUARD = 2 ** 28
 
 
@@ -231,25 +231,25 @@ class HasseDiagram(NamedTuple):
 
 
 def hasse_diagram(q: CensusQuery) -> HasseDiagram:
-    """Covering pairs (i, j) of the containment order, in increasing order:
-    scheme j contains scheme i (strictly, as the schemes are distinct) and
-    no scheme lies between, i.e. up[i] & down[j] is empty, over the census's
-    chain codes.  Refuses, before building them, bitsets larger than the guard."""
+    """Covering pairs (i, j) of the containment order, in increasing order, over the census's
+    chain codes; bitsets past the guard are refused unbuilt.  Each j the scan reaches covers i:
+    _census's keys ascend, first root most significant, so a scheme sorts below each that
+    strictly contains it, and the scan takes the lowest bit, then clears that j's up-set; a
+    scheme strictly between i and j was reached first or cleared in such an up-set, with j."""
     keys, codes, k = _census(q)
     n = len(keys)
-    size = 2 * n * -(-n // 8)  # up and down: n bitsets of n bits each
+    size = 2 * n * -(-n // 8)  # twice the n bitsets of n bits each that are built
     if size > HASSE_GUARD:
         raise SearchSpaceTooLarge(
             f"{size} bytes of Hasse bitsets for {n} schemes exceed the limit {HASSE_GUARD}"
         )
     schemes = _decode(q, keys, k)
-    up, down = _containment_bitsets(codes)
+    up = _containment_bitsets(codes)
     edges = []
     for i, above in enumerate(up):
         while above:
             j = (above & -above).bit_length() - 1
-            if not up[i] & down[j]:
-                edges.append((i, j))
+            edges.append((i, j))
             above &= ~(up[j] | 1 << j)  # nothing above j covers i
     return HasseDiagram(schemes, tuple(edges))
 

@@ -373,8 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fast_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """`build_parser().parse_args(argv)` for a subcommand and exact options, each
-    once, with valid values not starting with "-", off the table; else None."""
+    """`build_parser().parse_args(argv)`, read off the table, for a subcommand and exact options
+    (each a store or store_true: a repeat keeps the last value, as in argparse) whose values
+    are valid and do not start with "-"; else None."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     _, fn, options = _SUBCOMMANDS[argv[0]]
@@ -382,7 +383,7 @@ def _fast_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     tokens = iter(argv[1:])
     for flag in tokens:
         action = options.get(flag)
-        if action is None or action.dest in seen:
+        if action is None:
             return None
         if action.nargs == 0:  # store_true
             seen[action.dest] = action.const
@@ -392,7 +393,7 @@ def _fast_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
             return None
         try:
             value = (action.type or str)(text)
-        except (ValueError, TypeError, argparse.ArgumentTypeError):
+        except (ValueError, argparse.ArgumentTypeError):  # int, str and _parse_levi raise no other
             return None
         if action.choices is not None and value not in action.choices:
             return None
@@ -407,9 +408,8 @@ def _fast_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
 
 def run(argv: Optional[List[str]] = None, out=None) -> int:
     """Run one command line (default `sys.argv[1:]`), writing to `out`.  Argv that
-    `_fast_args` gives up on (help, `--version`, an abbreviation, `--opt=value`, a
-    repeat, a bad, missing or "-" value) goes to argparse, which writes every
-    help, usage and error byte."""
+    `_fast_args` gives up on (help, `--version`, an abbreviation, `--opt=value`, a bad,
+    missing or "-" value) goes to argparse, which writes every help, usage and error byte."""
     out = out or sys.stdout
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv

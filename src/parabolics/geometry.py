@@ -56,8 +56,18 @@ class Character(NamedTuple):
         return str(Root(self.coeffs))
 
 
+def _check_character(rs: RootSystem, lam: Character) -> Character:
+    """lam itself if its coeffs are rs.rank ints (bools excluded), as the pairing needs."""
+    c = getattr(lam, "coeffs", None)
+    n = len(c) if isinstance(c, tuple) else "no"
+    if n != rs.rank or not all(isinstance(x, int) and not isinstance(x, bool) for x in c):
+        raise InvalidScheme(f"character {lam!r} has {n} coefficient(s) where the rank of "
+                            f"{rs.rtype} asks for {rs.rank} integers")
+    return lam
+
+
 def character_pairing(rs: RootSystem, lam: Character, gamma: Root) -> int:
-    return rs.pairing(lam, gamma)  # the form reads only .coeffs
+    return rs.pairing(_check_character(rs, lam), rs.check_root(gamma))  # reads only .coeffs
 
 
 def dimension(P: ParabolicScheme) -> int:
@@ -90,9 +100,9 @@ def anticanonical_character(P: ParabolicScheme) -> Character:
 
 def is_ample(rs: RootSystem, levi: FrozenSet[int], lam: Character) -> bool:
     """Strict positivity of (lam, alpha) over the simple roots off the Levi."""
-    levi = check_levi(rs, levi)
+    levi, lam = check_levi(rs, levi), _check_character(rs, lam)
     return all(
-        character_pairing(rs, lam, rs.simple_roots[a - 1]) > 0
+        rs.pairing(lam, rs.simple_roots[a - 1]) > 0
         for a in range(1, rs.rank + 1)
         if a not in levi
     )

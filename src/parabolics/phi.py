@@ -68,7 +68,6 @@ from .errors import (
     InvalidScheme,
     KernelNotContained,
     MismatchedSchemes,
-    ParabolicsError,
 )
 from .rootsys import (
     Root,
@@ -525,12 +524,11 @@ def contains(P: ParabolicScheme, Q: ParabolicScheme) -> bool:
     return all(map(height_ge, P.heights, Q.heights))
 
 
-def _containment_bitsets(codes: Sequence[Tuple[int, ...]]) -> Tuple[List[int], List[int]]:
-    """Strict containment among the distinct schemes of one census, given the
-    chain codes of each one's generated blocks at the nodes off the Levi: bit j
-    of up[i], and bit i of down[j], say that scheme j contains scheme i.  Per
-    node the schemes are grouped by code into bitsets, and up[i] (down[i]) keeps
-    those whose block there contains (lies in) scheme i's: O(n * r) big-int ANDs.
+def _containment_bitsets(codes: Sequence[Tuple[int, ...]]) -> List[int]:
+    """Strict containment among the distinct schemes of one census, given the chain codes
+    of each one's generated blocks at the nodes off the Levi: bit j of up[i] says that
+    scheme j contains scheme i.  Per node the schemes are grouped by code into bitsets, and
+    up[i] keeps those whose block there contains i's: O(n * r) big-int ANDs.
 
     The order is exact.  At one node, B lies in B' exactly when key(B) < key(B')
     or B = B', for the chain key m + top = code >> 2, because Standard(m) lies
@@ -541,19 +539,17 @@ def _containment_bitsets(codes: Sequence[Tuple[int, ...]]) -> Tuple[List[int], L
     block G_a(P) there.  Because Q is the meet of its G_a(Q), Q contains P
     exactly when G_a(Q) contains G_a(P) at every node a."""
     n = len(codes)
-    up = down = [(1 << n) - 1] * n
+    up = [(1 << n) - 1] * n
     for column in zip(*codes):
         at: Dict[int, int] = {}
         for j, v in enumerate(column):
             at[v] = at.get(v, 0) | 1 << j
-        ge, le = dict.fromkeys(at, 0), dict.fromkeys(at, 0)
+        ge = dict.fromkeys(at, 0)
         for v, w in product(at, repeat=2):
             if w >> 2 > v >> 2 or w == v:  # the block w contains the block v
                 ge[v] |= at[w]
-                le[w] |= at[v]
         up = list(map(and_, up, map(ge.__getitem__, column)))
-        down = list(map(and_, down, map(le.__getitem__, column)))
-    return [u ^ 1 << i for i, u in enumerate(up)], [d ^ 1 << i for i, d in enumerate(down)]
+    return [u ^ 1 << i for i, u in enumerate(up)]
 
 
 @lru_cache(maxsize=None)
@@ -716,11 +712,9 @@ def _is_cover(P: ParabolicScheme) -> bool:
 
 
 def is_valid(P: ParabolicScheme) -> bool:
-    """Validity as the reconstruction fixpoint, tested as a cover (_is_cover)."""
-    try:
-        return _is_cover(P)
-    except ParabolicsError:
-        return False
+    """Validity as the reconstruction fixpoint, tested as a cover (_is_cover), which reads
+    only P's checked node windows and its checked prime's _chain: it raises no domain error."""
+    return _is_cover(P)
 
 
 # ---------------------------------------------------------------------------

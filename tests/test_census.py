@@ -159,6 +159,19 @@ def test_oracle_equality_with_levi():
             enumerate_parabolics(q("G2", 2, I, 3))
 
 
+@pytest.mark.parametrize("label,levi,M", [
+    ("A1", (), 127), ("A1", (), 130), ("A1", (), 254), ("A2", (1,), 130),
+])
+def test_oracle_equality_where_a_lane_needs_its_guard_bit(label, levi, M):
+    # from M = 127 on a height fills a byte's low seven bits, so each lane takes two
+    # bytes; A1's census is in closed form, one scheme per height 0..M
+    for p in (2, 3):
+        schemes = enumerate_parabolics(q(label, p, levi, M))
+        assert schemes == brute_force_enumerate(q(label, p, levi, M))
+        if label == "A1":
+            assert [P.heights for P in schemes] == [(h,) for h in range(M + 1)]
+
+
 def _brute_force_by_public_constructor(query):
     """The oracle as a plain loop: every height vector through the public
     constructor and is_valid, sorted by the heights off the Levi."""

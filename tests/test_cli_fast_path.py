@@ -4,8 +4,8 @@
 returns exactly the Namespace that `build_parser().parse_args(argv)` gives:
 the same attributes, values and order.  The property draws argv from the real
 subcommand and option names, good values and junk.  The benchmark's census and
-fano sweeps, and one full option set per subcommand, must take the fast path,
-so a gain cannot quietly fall back to argparse.
+fano sweeps, one full option set per subcommand and a few repeated options
+must take the fast path, so a gain cannot quietly fall back to argparse.
 """
 
 import contextlib
@@ -121,6 +121,12 @@ def test_the_benchmark_sweeps_and_full_option_sets_take_the_fast_path(monkeypatc
             argv += [flag] if action.nargs == 0 else [flag, next(iter(
                 FORMATS[command] if flag == "--format" else GOOD[flag]))]
         lines.append(argv)
+    lines += [  # a repeated option keeps its last value, as in argparse
+        ["census", "--type", "B2", "--prime", "2", "--type", "B3"],
+        ["census", "--type", "B3", "--prime", "2", "--levi", "1", "--levi", "", "--levi", "2,3",
+         "--normalized", "--normalized"],
+        ["dual", "--type", "B2", "--input", "x", "--input", "y", "--prime", "2", "--prime", "3"],
+    ]
     for argv in lines:
         expected = oracle(argv)
         assert expected is not None, argv

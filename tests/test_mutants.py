@@ -1,7 +1,7 @@
 """The mutation gate's mutants still apply to the code.
 
 `tools/mutants.py` runs each mutant's tests on a mutated copy, outside
-Tier-1 (about half a minute).  Here only its texts are checked: each mutant's old
+Tier-1 (about a minute).  Here only its texts are checked: each mutant's old
 text occurs exactly once in its file, so an edit that moves or changes a
 mutated line shows at once.
 """

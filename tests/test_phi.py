@@ -10,6 +10,7 @@ from parabolics import (
     INFINITE,
     BlockKind,
     CensusQuery,
+    Character,
     KernelKind,
     ParabolicScheme,
     RankOneBlock,
@@ -18,6 +19,7 @@ from parabolics import (
     anchored_candidates,
     block_anchor_height,
     block_phi,
+    character_pairing,
     contains,
     edge_hypothesis,
     enne_check,
@@ -52,6 +54,7 @@ from parabolics.errors import (
     InvalidScheme,
     KernelNotContained,
     MismatchedSchemes,
+    NotARoot,
 )
 from parabolics.geometry import NotFanoCertificate, anticanonical_character
 from parabolics.census import _census, _decode
@@ -339,12 +342,10 @@ def test_containment_bitsets_match_pairwise_contains(label, p):
             query = CensusQuery(rs.rtype, p, frozenset(levi), M, normalized)
             keys, codes, k = _census(query)
             schemes = _decode(query, keys, k)
-            up, down = _containment_bitsets(codes)
+            up = _containment_bitsets(codes)
             for i, Q in enumerate(schemes):
                 assert up[i] == sum(1 << j for j, P in enumerate(schemes)
                                     if j != i and contains(P, Q))
-                assert down[i] == sum(1 << j for j, P in enumerate(schemes)
-                                      if j != i and contains(Q, P))
             exotic += sum(1 for t in codes for c in t if c & 2)
     assert exotic or (label, p) != ("G2", 2)
 
@@ -924,6 +925,28 @@ NAMED_REFUSALS = {
     "ampleness off a string Levi subset": (
         lambda: is_ample(B2, "x", anticanonical_character(reduced_scheme(B2, 2))), InvalidScheme,
         "'x' is not an integer"),
+    "ampleness of a character shorter than the rank": (
+        lambda: is_ample(B2, frozenset(), Character((1,))), InvalidScheme,
+        "character Character(coeffs=(1,)) has 1 coefficient(s) "
+        "where the rank of B2 asks for 2 integers"),
+    "ampleness of a character longer than the rank": (
+        lambda: is_ample(B2, frozenset(), Character((1, 2, 3))), InvalidScheme,
+        "character Character(coeffs=(1, 2, 3)) has 3 coefficient(s) "
+        "where the rank of B2 asks for 2 integers"),
+    "ampleness of a character with a bool coefficient": (
+        lambda: is_ample(B2, frozenset(), Character((1, True))), InvalidScheme,
+        "character Character(coeffs=(1, True)) has 2 coefficient(s) "
+        "where the rank of B2 asks for 2 integers"),
+    "pairing of a plain tuple": (
+        lambda: character_pairing(B2, (1, 2), Root.of(1, 0)), InvalidScheme,
+        "character (1, 2) has no coefficient(s) where the rank of B2 asks for 2 integers"),
+    "pairing of a character with a float coefficient": (
+        lambda: character_pairing(B2, Character((1, 2.0)), Root.of(1, 0)), InvalidScheme,
+        "character Character(coeffs=(1, 2.0)) has 2 coefficient(s) "
+        "where the rank of B2 asks for 2 integers"),
+    "pairing with a vector that is not a root": (
+        lambda: character_pairing(B2, Character((1, 2)), Root.of(3, 3)), NotARoot,
+        "3a1+3a2 is not a root of B2"),
 }
 
 

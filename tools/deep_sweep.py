@@ -19,25 +19,27 @@ chain codes are the row's `_generated_blocks`, and that every row P is valid
 and its own reconstruction (`is_valid(P)`, `reconstruct(P) == P`), so the
 single-scheme cover and the meet run on every row.  On each cell of at most
 PAIR_LIMIT schemes (every cell here: the largest has 146) it also checks the
-Hasse containment bitsets, built from the carried codes
-(`_containment_bitsets`), against `contains` on every ordered pair of
-distinct schemes.  On each normalized cell it also runs `fano_census` and
-checks every row's Fano flag against `is_fano` and its certificate against
-`not_fano_certificate`, recomputed from the scheme alone; it expects None
-where the Picard rank is below 2 or that raises `ExoticBlocksPresent`.  On
-each cell whose diagram has an edge of multiplicity p (`edge_hypothesis`: B
-and C at p = 2, G2 at p = 3) it also checks that every row survives the very
-special isogeny's round trip, `vsi_pushforward(vsi_pullback(P)) == P`.
+Hasse up-sets, built from the carried codes (`_containment_bitsets`), against
+`contains` on every ordered pair of distinct schemes, and the edges of
+`hasse_diagram` against the covers of that pairwise relation, computed from
+the `contains` answers alone.  On each normalized cell it also runs
+`fano_census` and checks every row's Fano flag against `is_fano` and its
+certificate against `not_fano_certificate`, recomputed from the scheme alone;
+it expects None where the Picard rank is below 2 or that raises
+`ExoticBlocksPresent`.  On each cell whose diagram has an edge of
+multiplicity p (`edge_hypothesis`: B and C at p = 2, G2 at p = 3) it also
+checks that every row survives the very special isogeny's round trip,
+`vsi_pushforward(vsi_pullback(P)) == P`.
 
 Past the oracle's guard, five Borel censuses of 538-3321 schemes (LARGE)
-check the code order alone: the containment bitsets against `contains` on
-SAMPLE ordered pairs of distinct schemes per cell, drawn with the fixed seed
-SEED.  A cell that differs is named on stderr.  The script prints the cells,
-the oracle's candidates, the rows whose codes, reconstruction and three
-lane-formatted lines it checked, the pairs whose order it checked, the Fano
-rows it checked, the rows whose isogeny round trip it checked, the large
-cells and their sampled pairs, and the seconds, and exits 1 on a mismatch.
-The whole sweep takes 9-17 s on a 2-vCPU host.
+check the code order alone: the up-sets against `contains` on SAMPLE
+ordered pairs of distinct schemes per cell, drawn with the fixed seed SEED.
+A cell that differs is named on stderr.  The script prints the cells, the
+oracle's candidates, the rows whose codes, reconstruction and three
+lane-formatted lines it checked, the pairs whose order it checked, the Hasse
+edges it checked, the Fano rows it checked, the rows whose isogeny round trip
+it checked, the large cells and their sampled pairs, and the seconds, and
+exits 1 on a mismatch.  The whole sweep takes 8-17 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 import random
 import sys
 import time
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 from typing import Tuple
 
@@ -58,6 +60,7 @@ from parabolics import (
     contains,
     edge_hypothesis,
     fano_census,
+    hasse_diagram,
     is_fano,
     is_valid,
     not_fano_certificate,
@@ -86,13 +89,24 @@ SAMPLE, SEED = 20000, 29
 
 def order_mismatches(schemes, codes, pairs) -> int:
     """The ordered pairs (i, j) of distinct schemes on which the code-order
-    bitsets and `contains(schemes[j], schemes[i])` disagree."""
-    up, down = _containment_bitsets(codes)
-    bad = 0
-    for i, j in pairs:
-        above = contains(schemes[j], schemes[i])
-        bad += (up[i] >> j & 1) != above or (down[j] >> i & 1) != above
-    return bad
+    up-sets and `contains(schemes[j], schemes[i])` disagree."""
+    up = _containment_bitsets(codes)
+    return sum((up[i] >> j & 1) != contains(schemes[j], schemes[i]) for i, j in pairs)
+
+
+def pairwise_mismatches(q, schemes, codes) -> Tuple[int, int]:
+    """(edges, mismatches) over every ordered pair of distinct schemes: the pairs on
+    which the code-order up-sets and `contains` disagree, plus 1 if the edges of
+    `hasse_diagram(q)` are not the covers of the `contains` relation."""
+    n, up = len(schemes), _containment_bitsets(codes)
+    above = [sum(1 << j for j, P in enumerate(schemes) if j != i and contains(P, Q))
+             for i, Q in enumerate(schemes)]
+    below = [sum(1 << i for i in range(n) if above[i] >> j & 1) for j in range(n)]
+    covers = tuple((i, j) for i in range(n) for j in range(n)
+                   if above[i] >> j & 1 and not above[i] & below[j])
+    edges = hasse_diagram(q).edges
+    bad = sum(bin(u ^ a).count("1") for u, a in zip(up, above))
+    return len(edges), bad + (edges != covers)
 
 
 def lane_mismatches(q, schemes) -> int:
@@ -122,7 +136,7 @@ def fano_mismatches(q) -> Tuple[int, int]:
 
 
 def main() -> int:
-    cells = candidates = rows = pairs = fano_rows = trips = mismatches = 0
+    cells = candidates = rows = pairs = edges = fano_rows = trips = mismatches = 0
     start = time.perf_counter()
     for label, M in GRID:
         rtype = RootSystemType.parse(label)
@@ -144,9 +158,9 @@ def main() -> int:
                                          for P, codes in zip(schemes, carried))
                         order_bad = 0
                         if len(schemes) <= PAIR_LIMIT:
-                            order_bad = order_mismatches(
-                                schemes, carried, permutations(range(len(schemes)), 2))
+                            checked, order_bad = pairwise_mismatches(q, schemes, carried)
                             pairs += len(schemes) * (len(schemes) - 1)
+                            edges += checked
                         fano_bad = 0
                         if normalized:
                             checked, fano_bad = fano_mismatches(q)
@@ -172,7 +186,7 @@ def main() -> int:
             print(f"order mismatch: {label} p={p} M={M}", file=sys.stderr)
     seconds = time.perf_counter() - start
     print(f"{cells} cells, {candidates} candidates, {rows} rows' codes, reconstructions "
-          f"and json, csv and text lines, {pairs} ordered pairs, "
+          f"and json, csv and text lines, {pairs} ordered pairs, {edges} Hasse edges, "
           f"{fano_rows} Fano rows, {trips} isogeny round trips, {len(LARGE)} large cells' "
           f"{sampled} sampled pairs, {seconds:.1f} s, {mismatches} mismatches")
     return 1 if mismatches else 0

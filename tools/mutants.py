@@ -4,15 +4,16 @@
 
 Run from anywhere; the checkout is the directory above this file.  Each
 mutant is one exact text replacement in one source file, with the test files
-that must catch it.  For each mutant the script copies `src/` and `tests/`
-into a temporary directory, applies the replacement there and runs
-`pytest -x -q` on the mutant's test files, so the checkout is never touched.
+that must catch it.  For each mutant the script copies `src/`, `tests/` and
+`bench/` (which `tests/test_cli_fast_path.py` imports) into a temporary
+directory, applies the replacement there and runs `pytest -x -q` on the
+mutant's test files, so the checkout is never touched.
 A mutant is killed when pytest reports a failing test (exit code 1).  The
 script prints one line per mutant and exits 1 if a mutant survives, if its
 tests fail to run at all (any other exit code), or if its old text does not
 occur exactly once in its file.  The mutants' test files first run once on
-an unmutated copy, and must pass there.  The whole list runs in about half a
-minute on a 2-vCPU host.
+an unmutated copy, and must pass there.  The whole list runs in about a minute
+on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -113,6 +114,13 @@ MUTANTS = (
         "a lane holds the heights up to the bound, INFINITE and a guard bit",
     ),
     Mutant(
+        "lane-no-guard-bit-oracle", PHI,
+        "k = ((max_height + 1).bit_length() + 8) // 8",
+        "k = ((max_height + 1).bit_length() + 7) // 8",
+        ("tests/test_census.py",),
+        "the same mutant, killed without the kernel: the census equals the oracle at M >= 127",
+    ),
+    Mutant(
         "cover-without-a", PHI,
         "return -1, ()", "return -1, tuple(map(eq, h, hw))",
         ("tests/test_phi.py",),
@@ -211,6 +219,30 @@ MUTANTS = (
         "a value outside an option's choices gives up to argparse, which refuses it",
     ),
     Mutant(
+        "fast-args-admits-dash-value", "src/parabolics/cli.py",
+        '\n        if text.startswith("-"):\n            return None', "",
+        ("tests/test_cli_fast_path.py",),
+        'a value starting with "-" (or a missing one) gives up to argparse, which may read a flag',
+    ),
+    Mutant(
+        "fast-args-admits-missing-required", "src/parabolics/cli.py",
+        "\n        if action.required and action.dest not in seen:\n            return None", "",
+        ("tests/test_cli_fast_path.py",),
+        "a missing required option gives up to argparse, which refuses it",
+    ),
+    Mutant(
+        "hasse-scan-unpruned", CENSUS,
+        "above &= ~(up[j] | 1 << j)", "above &= ~(1 << j)",
+        ("tests/test_census.py",),
+        "the scan clears each reached scheme's up-set: nothing above it covers i",
+    ),
+    Mutant(
+        "hasse-scan-highest-first", CENSUS,
+        "j = (above & -above).bit_length() - 1", "j = above.bit_length() - 1",
+        ("tests/test_census.py",),
+        "the scan takes the lowest bit first, so every scheme between i and j is seen before j",
+    ),
+    Mutant(
         "census-projection-sum", CENSUS,
         "tuples = math.prod(_catalog_size(rs, q.p, a, M) for a, _ in",
         "tuples = sum(_catalog_size(rs, q.p, a, M) for a, _ in",
@@ -236,7 +268,7 @@ def run_tests(tests: Sequence[str], m: Optional[Mutant] = None) -> Tuple[int, fl
     """(pytest exit code, seconds) of the test files on a copy, with the
     mutant applied, if any."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, Path(tmp) / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
