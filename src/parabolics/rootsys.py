@@ -6,17 +6,19 @@ Conventions used throughout the package:
   and a root is stored as its integer coefficient vector over them;
 * the symmetric pairing ( , ) is normalised so that short roots have
   squared length 2 (so squared lengths are 2, 4 and, in G2, 6);
-* positive roots are generated by string closure from the simple roots,
-  with the classical counts kept as hard cross-checks;
-* all arithmetic is exact: integers for pairings, Fractions for the
-  auxiliary epsilon realisation.  No floats anywhere.
+* positive roots are generated by string closure from the simple roots on
+  integer tuples, with the classical counts kept as hard cross-checks;
+* all arithmetic is exact: the build runs on integers, from twice the
+  epsilon realisation; only `epsilon` reads that realisation back as
+  Fractions.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import add, mul, neg
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -129,49 +131,29 @@ class Root:
         return "+".join(parts).replace("+-", "-") if parts else "0"
 
 
-def _simple_epsilon(rtype: RootSystemType) -> List[Tuple[Fraction, ...]]:
-    """Bourbaki epsilon-coordinates of the simple roots."""
-    n = rtype.rank
-    s = rtype.series
+def _simple_epsilon(rtype: RootSystemType) -> List[Tuple[int, ...]]:
+    """Twice the Bourbaki epsilon-coordinates of the simple roots: integers."""
+    n, s = rtype.rank, rtype.series
 
-    def vec(*pairs, dim: int) -> Tuple[Fraction, ...]:
-        v = [Fraction(0)] * dim
+    def vec(*pairs, dim: int) -> Tuple[int, ...]:
+        v = [0] * dim
         for i, c in pairs:
-            v[i] += Fraction(c)
+            v[i] += 2 * c
         return tuple(v)
 
     if s == "A":
-        dim = n + 1
-        return [vec((i, 1), (i + 1, -1), dim=dim) for i in range(n)]
+        return [vec((i, 1), (i + 1, -1), dim=n + 1) for i in range(n)]
     if s in ("B", "C", "D"):
-        dim = n
-        simples = [vec((i, 1), (i + 1, -1), dim=dim) for i in range(n - 1)]
-        if s == "B":
-            simples.append(vec((n - 1, 1), dim=dim))
-        elif s == "C":
-            simples.append(vec((n - 1, 2), dim=dim))
-        else:
-            simples.append(vec((n - 2, 1), (n - 1, 1), dim=dim))
-        return simples
+        last = {"B": ((n - 1, 1),), "C": ((n - 1, 2),), "D": ((n - 2, 1), (n - 1, 1))}[s]
+        return [vec((i, 1), (i + 1, -1), dim=n) for i in range(n - 1)] + [vec(*last, dim=n)]
     if s == "E":
-        dim = 8
-        half = Fraction(1, 2)
-        a1 = tuple([half, -half, -half, -half, -half, -half, -half, half])
-        a2 = vec((0, 1), (1, 1), dim=dim)
-        rest = [vec((i + 1, 1), (i, -1), dim=dim) for i in range(6)]
-        return ([a1, a2] + rest)[:n]
+        rest = [vec((i + 1, 1), (i, -1), dim=8) for i in range(6)]
+        return ([(1, -1, -1, -1, -1, -1, -1, 1), vec((0, 1), (1, 1), dim=8)] + rest)[:n]
     if s == "F":
-        dim = 4
-        half = Fraction(1, 2)
-        return [
-            vec((1, 1), (2, -1), dim=dim),
-            vec((2, 1), (3, -1), dim=dim),
-            vec((3, 1), dim=dim),
-            (half, -half, -half, -half),
-        ]
+        return [vec((1, 1), (2, -1), dim=4), vec((2, 1), (3, -1), dim=4), vec((3, 1), dim=4),
+                (1, -1, -1, -1)]
     # G2, in the standard 3-dimensional realisation
-    dim = 3
-    return [vec((0, 1), (1, -1), dim=dim), vec((0, -2), (1, 1), (2, 1), dim=dim)]
+    return [vec((0, 1), (1, -1), dim=3), vec((0, -2), (1, 1), (2, 1), dim=3)]
 
 
 class RootSystem:
@@ -179,46 +161,57 @@ class RootSystem:
 
     def __init__(self, rtype: RootSystemType):
         self.rtype = rtype
-        self.rank = rtype.rank
+        n = self.rank = rtype.rank
         eps = _simple_epsilon(rtype)
-        self.epsilon_coords: Tuple[Tuple[Fraction, ...], ...] = tuple(tuple(v) for v in eps)
-
-        gram = [[sum(a * b for a, b in zip(eps[i], eps[j])) for j in range(self.rank)]
-                for i in range(self.rank)]
-        scale = Fraction(2) / min(gram[i][i] for i in range(self.rank))
-        pairing = [[gram[i][j] * scale for j in range(self.rank)] for i in range(self.rank)]
-        for row in pairing:
-            for v in row:
-                if v.denominator != 1:
-                    raise InvalidRootSystem(f"non-integral pairing for {rtype}")
+        # four times the Gram matrix; scaled by 2/d, short roots get squared length 2
+        gram = [[sum(map(mul, u, v)) for v in eps] for u in eps]
+        d = min(gram[i][i] for i in range(n))
+        if any(2 * x % d for row in gram for x in row):
+            raise InvalidRootSystem(f"non-integral pairing for {rtype}")
         self.pairing_matrix: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(int(v) for v in row) for row in pairing
+            tuple(2 * x // d for x in row) for row in gram
         )
 
         # Cartan matrix A[i][j] = <alpha_i, alpha_j^vee> = 2(a_i,a_j)/(a_j,a_j)
         P = self.pairing_matrix
-        self.cartan: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(2 * P[i][j] // P[j][j] for j in range(self.rank)) for i in range(self.rank)
-        )
+        A = self.cartan = tuple(tuple(2 * P[i][j] // P[j][j] for j in range(n)) for i in range(n))
 
         self.simple_roots: Tuple[Root, ...] = tuple(
-            Root(tuple(1 if j == i else 0 for j in range(self.rank))) for i in range(self.rank)
+            Root(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)
         )
-        self.positive_roots: Tuple[Root, ...] = self._generate_positive()
-        expected = _POSITIVE_COUNT[rtype.series](rtype.rank)
-        if len(self.positive_roots) != expected:
+        # The positive roots of one height at a time, by coefficients: each
+        # with its pairings <gamma, alpha_i^vee> and how far down its
+        # alpha_i-string reaches.  gamma + alpha_i is a root exactly when that
+        # reach exceeds the pairing, and its pairings are gamma's plus row i.
+        level = {a.coeffs: (A[i], [0] * n) for i, a in enumerate(self.simple_roots)}
+        positive, squared = [], []
+        half = [P[i][i] // 2 for i in range(n)]  # (gamma, alpha_i) = <gamma, alpha_i^vee> * half[i]
+        while level:
+            nxt: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], List[int]]] = {}
+            for c in sorted(level):
+                pair, down = level[c]
+                positive.append(c)
+                squared.append(sum(map(mul, c, map(mul, pair, half))))
+                for i in range(n):
+                    if down[i] > pair[i]:
+                        up = c[:i] + (c[i] + 1,) + c[i + 1:]
+                        if up not in nxt:
+                            nxt[up] = tuple(map(add, pair, A[i])), [0] * n
+                        nxt[up][1][i] = down[i] + 1
+            level = nxt
+        expected = _POSITIVE_COUNT[rtype.series](n)
+        if len(positive) != expected:
             raise InvalidRootSystem(
-                f"{rtype}: closure produced {len(self.positive_roots)} positive roots, "
-                f"expected {expected}"
+                f"{rtype}: closure produced {len(positive)} positive roots, expected {expected}"
             )
+        self.positive_roots: Tuple[Root, ...] = tuple(map(Root, positive))
         self.roots: Tuple[Root, ...] = self.positive_roots + tuple(
-            -r for r in self.positive_roots
+            Root(tuple(map(neg, c))) for c in positive
         )
         self._root_set = frozenset(self.roots)
         #: position of each positive root in `positive_roots`; schemes index
         #: their height vectors by it
         self.index: Dict[Root, int] = {g: i for i, g in enumerate(self.positive_roots)}
-        squared = [self.pairing(g, g) for g in self.positive_roots]
         longest = max(squared)
         #: whether each positive root is short, indexed like `positive_roots`;
         #: simply laced systems have every root long
@@ -226,31 +219,10 @@ class RootSystem:
         self.is_simply_laced = not any(self.short)
         self.max_edge_multiplicity = longest // min(squared)
 
-    # -- construction helpers -------------------------------------------------
-
-    def _generate_positive(self) -> Tuple[Root, ...]:
-        found = set(self.simple_roots)
-        level: List[Root] = list(self.simple_roots)
-        while level:
-            nxt: List[Root] = []
-            for gamma in level:
-                for i in range(self.rank):
-                    alpha = self.simple_roots[i]
-                    r = 0
-                    down = gamma - alpha
-                    while down in found:
-                        r += 1
-                        down = down - alpha
-                    if r - self._cartan_pair_raw(gamma, i) > 0:
-                        up = gamma + alpha
-                        if up not in found:
-                            found.add(up)
-                            nxt.append(up)
-            level = nxt
-        return tuple(sorted(found, key=lambda g: (g.height, g.coeffs)))
-
-    def _cartan_pair_raw(self, gamma: Root, i: int) -> int:
-        return sum(c * self.cartan[j][i] for j, c in enumerate(gamma.coeffs))
+    @cached_property
+    def epsilon_coords(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """Bourbaki epsilon-coordinates of the simple roots, built on first read."""
+        return tuple(tuple(Fraction(x, 2) for x in v) for v in _simple_epsilon(self.rtype))
 
     # -- queries ---------------------------------------------------------------
 
@@ -258,13 +230,16 @@ class RootSystem:
         return f"RootSystem({self.rtype})"
 
     def is_root(self, gamma: Root) -> bool:
-        return gamma in self._root_set
+        try:
+            return gamma in self._root_set
+        except TypeError:  # an unhashable gamma, such as a list
+            raise NotARoot(f"{gamma} is not a root of {self.rtype}") from None
 
     def is_positive_root(self, gamma: Root) -> bool:
-        return gamma in self.index
+        return self.is_root(gamma) and gamma in self.index
 
     def check_root(self, gamma: Root) -> Root:
-        if gamma not in self._root_set:
+        if not self.is_root(gamma):
             raise NotARoot(f"{gamma} is not a root of {self.rtype}")
         return gamma
 

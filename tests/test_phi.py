@@ -947,6 +947,11 @@ NAMED_REFUSALS = {
     "pairing with a vector that is not a root": (
         lambda: character_pairing(B2, Character((1, 2)), Root.of(3, 3)), NotARoot,
         "3a1+3a2 is not a root of B2"),
+    "pairing with a list": (
+        lambda: character_pairing(B2, Character((1, 2)), [1, 0]), NotARoot,
+        "[1, 0] is not a root of B2"),
+    "length class of a list": (
+        lambda: B2.length_class([1, 0]), NotARoot, "[1, 0] is not a root of B2"),
 }
 
 

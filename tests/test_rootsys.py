@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from parabolics.errors import (
     NotARoot,
     UnsupportedType,
 )
+from parabolics import rootsys
 from parabolics.rootsys import RANK_LIMIT
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -172,6 +174,106 @@ def test_root_string_closure():
                 for k in range(-r, q + 1):
                     assert rs.is_root(_shift(g, d, k))
                 assert r + q + 1 <= 4
+
+
+# ---------------------------------------------------------------------------
+# the build against a reference
+
+
+def _reference_epsilon(rtype):
+    """Bourbaki epsilon-coordinates of the simple roots, in Fractions."""
+    n, s, half = rtype.rank, rtype.series, Fraction(1, 2)
+
+    def vec(*pairs, dim):
+        v = [Fraction(0)] * dim
+        for i, c in pairs:
+            v[i] += c
+        return tuple(v)
+
+    if s == "A":
+        return [vec((i, 1), (i + 1, -1), dim=n + 1) for i in range(n)]
+    if s in "BCD":
+        last = {"B": ((n - 1, 1),), "C": ((n - 1, 2),), "D": ((n - 2, 1), (n - 1, 1))}[s]
+        return [vec((i, 1), (i + 1, -1), dim=n) for i in range(n - 1)] + [vec(*last, dim=n)]
+    if s == "E":
+        a1 = (half,) + (-half,) * 6 + (half,)
+        rest = [vec((i + 1, 1), (i, -1), dim=8) for i in range(6)]
+        return ([a1, vec((0, 1), (1, 1), dim=8)] + rest)[:n]
+    if s == "F":
+        return [vec((1, 1), (2, -1), dim=4), vec((2, 1), (3, -1), dim=4), vec((3, 1), dim=4),
+                (half, -half, -half, -half)]
+    return [vec((0, 1), (1, -1), dim=3), vec((0, -2), (1, 1), (2, 1), dim=3)]
+
+
+def _reference_build(rtype):
+    """Reference: the Gram matrix of the epsilon coordinates in Fractions,
+    the positive roots by string closure in Root arithmetic with each Cartan
+    pairing summed afresh, and each squared length from the pairing matrix."""
+    n, eps = rtype.rank, _reference_epsilon(rtype)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in eps] for u in eps]
+    scale = Fraction(2) / min(gram[i][i] for i in range(n))
+    assert all((x * scale).denominator == 1 for row in gram for x in row)
+    P = tuple(tuple(int(x * scale) for x in row) for row in gram)
+    cartan = tuple(tuple(2 * P[i][j] // P[j][j] for j in range(n)) for i in range(n))
+    simple = tuple(Root(tuple(int(j == i) for j in range(n))) for i in range(n))
+    found, level = set(simple), list(simple)
+    while level:
+        nxt = []
+        for gamma in level:
+            for i, alpha in enumerate(simple):
+                r, down = 0, gamma - alpha
+                while down in found:
+                    r, down = r + 1, down - alpha
+                up = gamma + alpha
+                if r > sum(c * cartan[j][i] for j, c in enumerate(gamma.coeffs)) and up not in found:
+                    found.add(up)
+                    nxt.append(up)
+        level = nxt
+    positive = tuple(sorted(found, key=lambda g: (g.height, g.coeffs)))
+    squared = [sum(a * P[i][j] * b for i, a in enumerate(g.coeffs) for j, b in enumerate(g.coeffs))
+               for g in positive]
+    short = tuple(x < max(squared) for x in squared)
+    return {
+        "simple_roots": simple, "positive_roots": positive,
+        "roots": positive + tuple(-g for g in positive),
+        "index": {g: i for i, g in enumerate(positive)},
+        "pairing_matrix": P, "cartan": cartan, "short": short,
+        "is_simply_laced": not any(short),
+        "max_edge_multiplicity": max(squared) // min(squared),
+        "epsilon_coords": tuple(eps),
+    }
+
+
+#: every admitted type up to RANK_LIMIT
+EVERY_TYPE = [f"{s}{r}" for s, lo, hi in [("A", 1, RANK_LIMIT), ("B", 2, RANK_LIMIT),
+                                           ("C", 2, RANK_LIMIT), ("D", 3, RANK_LIMIT),
+                                           ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)]
+              for r in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("label", EVERY_TYPE)
+def test_build_matches_the_reference(label):
+    assert len(EVERY_TYPE) == 65
+    rs, ref = root_system(label), _reference_build(RootSystemType.parse(label))
+    for name, value in ref.items():
+        assert getattr(rs, name) == value, name
+    assert [tuple(map(type, v)) for v in rs.epsilon_coords] == \
+        [(Fraction,) * len(v) for v in ref["epsilon_coords"]]
+
+
+def test_a_non_integral_realisation_is_refused(monkeypatch):
+    # squared lengths 3 and 4 with product 3: scaled by 2/3, (a2, a2) is 8/3
+    monkeypatch.setattr(rootsys, "_simple_epsilon", lambda rtype: [(1, 1, 1, 0), (1, 1, 1, 1)])
+    with pytest.raises(InvalidRootSystem, match="^non-integral pairing for A2$"):
+        rootsys.RootSystem(RootSystemType("A", 2))
+
+
+def test_an_unhashable_root_is_refused():
+    b2 = root_system("B2")
+    for query in (b2.is_root, b2.is_positive_root, b2.check_root, b2.length_class):
+        with pytest.raises(NotARoot, match=r"^\[1, 0\] is not a root of B2$"):
+            query([1, 0])
+    assert not b2.is_positive_root(-b2.simple_roots[0])
 
 
 # ---------------------------------------------------------------------------

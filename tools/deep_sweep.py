@@ -34,12 +34,15 @@ checks that every row survives the very special isogeny's round trip,
 Past the oracle's guard, five Borel censuses of 538-3321 schemes (LARGE)
 check the code order alone: the up-sets against `contains` on SAMPLE
 ordered pairs of distinct schemes per cell, drawn with the fixed seed SEED.
-A cell that differs is named on stderr.  The script prints the cells, the
-oracle's candidates, the rows whose codes, reconstruction and three
-lane-formatted lines it checked, the pairs whose order it checked, the Hasse
-edges it checked, the Fano rows it checked, the rows whose isogeny round trip
-it checked, the large cells and their sampled pairs, and the seconds, and
-exits 1 on a mismatch.  The whole sweep takes 8-17 s on a 2-vCPU host.
+Every check runs on every cell it applies to, whatever an earlier check
+found.  A cell that differs is named on stderr with the checks it failed.
+The script prints the cells, the oracle's candidates, the rows whose codes,
+reconstruction and three lane-formatted lines it checked, the pairs whose
+order it checked, the Hasse edges it checked, the Fano rows it checked, the
+rows whose isogeny round trip it checked, the large cells and their sampled
+pairs, the seconds and the mismatched cells; then, per check (CHECKS), the
+cells on which it failed.  It exits 1 on a mismatch.  The whole sweep takes
+8-17 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ PAIR_LIMIT = 400
 LARGE = (("B4", 2, 4), ("C5", 2, 2), ("D5", 2, 3), ("F4", 2, 3), ("G2", 2, 40))
 #: ordered pairs sampled per large cell, and the seed they are drawn with
 SAMPLE, SEED = 20000, 29
+#: the checks, in the order the report counts their mismatched cells
+CHECKS = ("oracle", "codes", "lanes", "order", "fano", "isogeny", "large order")
 
 
 def order_mismatches(schemes, codes, pairs) -> int:
@@ -137,6 +142,7 @@ def fano_mismatches(q) -> Tuple[int, int]:
 
 def main() -> int:
     cells = candidates = rows = pairs = edges = fano_rows = trips = mismatches = 0
+    bad = dict.fromkeys(CHECKS, 0)  # the cells on which each check failed
     start = time.perf_counter()
     for label, M in GRID:
         rtype = RootSystemType.parse(label)
@@ -152,27 +158,32 @@ def main() -> int:
                         keys, carried, k = _census(q)
                         schemes = _decode(q, keys, k)
                         rows += len(schemes)
-                        lanes_bad = lane_mismatches(q, schemes)
-                        carried_ok = all(codes == tuple(_generated_blocks(P).values())
-                                         and is_valid(P) and reconstruct(P) == P
-                                         for P, codes in zip(schemes, carried))
-                        order_bad = 0
+                        failed = {
+                            "oracle": schemes != brute_force_enumerate(q),
+                            "codes": not all(codes == tuple(_generated_blocks(P).values())
+                                             and is_valid(P) and reconstruct(P) == P
+                                             for P, codes in zip(schemes, carried)),
+                            "lanes": lane_mismatches(q, schemes) > 0,
+                        }
                         if len(schemes) <= PAIR_LIMIT:
                             checked, order_bad = pairwise_mismatches(q, schemes, carried)
+                            failed["order"] = order_bad > 0
                             pairs += len(schemes) * (len(schemes) - 1)
                             edges += checked
-                        fano_bad = 0
                         if normalized:
                             checked, fano_bad = fano_mismatches(q)
+                            failed["fano"] = fano_bad > 0
                             fano_rows += checked
-                        trip_ok = True
                         if edge_hypothesis(q.system, p):
-                            trip_ok = all(vsi_pushforward(vsi_pullback(P)) == P for P in schemes)
+                            failed["isogeny"] = not all(
+                                vsi_pushforward(vsi_pullback(P)) == P for P in schemes)
                             trips += len(schemes)
-                        if (not carried_ok or lanes_bad or order_bad or fano_bad or not trip_ok
-                                or schemes != brute_force_enumerate(q)):
+                        for check, f in failed.items():
+                            bad[check] += f
+                        if any(failed.values()):
                             mismatches += 1
-                            print(f"mismatch: {label} p={p} levi={list(levi)} M={M} "
+                            print(f"mismatch ({', '.join(c for c, f in failed.items() if f)}): "
+                                  f"{label} p={p} levi={list(levi)} M={M} "
                                   f"normalized={normalized}", file=sys.stderr)
     rng, sampled = random.Random(SEED), 0
     for label, p, M in LARGE:
@@ -182,13 +193,15 @@ def main() -> int:
         sample = [rng.sample(range(len(schemes)), 2) for _ in range(SAMPLE)]
         sampled += len(sample)
         if order_mismatches(schemes, carried, sample):
+            bad["large order"] += 1
             mismatches += 1
-            print(f"order mismatch: {label} p={p} M={M}", file=sys.stderr)
+            print(f"mismatch (large order): {label} p={p} M={M}", file=sys.stderr)
     seconds = time.perf_counter() - start
     print(f"{cells} cells, {candidates} candidates, {rows} rows' codes, reconstructions "
           f"and json, csv and text lines, {pairs} ordered pairs, {edges} Hasse edges, "
           f"{fano_rows} Fano rows, {trips} isogeny round trips, {len(LARGE)} large cells' "
           f"{sampled} sampled pairs, {seconds:.1f} s, {mismatches} mismatches")
+    print("mismatches per check: " + ", ".join(f"{c} {n}" for c, n in bad.items()))
     return 1 if mismatches else 0
 
 

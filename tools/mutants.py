@@ -12,8 +12,8 @@ A mutant is killed when pytest reports a failing test (exit code 1).  The
 script prints one line per mutant and exits 1 if a mutant survives, if its
 tests fail to run at all (any other exit code), or if its old text does not
 occur exactly once in its file.  The mutants' test files first run once on
-an unmutated copy, and must pass there.  The whole list runs in about a minute
-on a 2-vCPU host.
+an unmutated copy, and must pass there.  The whole list runs in one to two
+minutes on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class Mutant(NamedTuple):
 
 
 PHI, CENSUS = "src/parabolics/phi.py", "src/parabolics/census.py"
-GEOMETRY = "src/parabolics/geometry.py"
+GEOMETRY, ROOTSYS = "src/parabolics/geometry.py", "src/parabolics/rootsys.py"
 
 MUTANTS = (
     Mutant(
@@ -250,7 +250,32 @@ MUTANTS = (
         "the census guard projects the product of the catalog sizes",
     ),
     Mutant(
-        "levi-repeated-index", "src/parabolics/rootsys.py",
+        "root-lengths-reversed", ROOTSYS,
+        "half = [P[i][i] // 2 for i in range(n)]",
+        "half = [P[n - 1 - i][n - 1 - i] // 2 for i in range(n)]",
+        ("tests/test_rootsys.py",),
+        "a squared length weighs each pairing <gamma, alpha_i^vee> by alpha_i's own length",
+    ),
+    Mutant(
+        "pairing-unscaled", ROOTSYS,
+        "tuple(2 * x // d for x in row)", "tuple(x for x in row)",
+        ("tests/test_rootsys.py",),
+        "the pairing is the Gram matrix scaled so that short roots have squared length 2",
+    ),
+    Mutant(
+        "pairing-integrality-unchecked", ROOTSYS,
+        "if any(2 * x % d for row in gram for x in row):", "if False:",
+        ("tests/test_rootsys.py",),
+        "a realisation whose scaled Gram matrix is not integral is refused, not floored",
+    ),
+    Mutant(
+        "positive-roots-unsorted", ROOTSYS,
+        "for c in sorted(level):", "for c in level:",
+        ("tests/test_rootsys.py",),
+        "the positive roots of one height are in coefficient order",
+    ),
+    Mutant(
+        "levi-repeated-index", ROOTSYS,
         "if len(I) < len(checked):", "if False:",
         ("tests/test_census.py",),
         "a repeated Levi index is refused, not merged",
