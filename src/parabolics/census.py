@@ -39,6 +39,7 @@ from .phi import (
     _chain,
     _check_prime,
     _containment_bitsets,
+    _lane_masks,
     _lane_rows,
     _levi_split,
     _row_format,
@@ -126,7 +127,8 @@ def _census(q: CensusQuery) -> Tuple[List[int], Tuple[Tuple[int, ...], ...], int
 
 def _decode(q: CensusQuery, keys: Iterable[int], k: int) -> Tuple[ParabolicScheme, ...]:
     """The schemes of the query's packed keys: lane.get(v, v) decodes a _lane_rows lane."""
-    rs, p, levi, lane = q.system, q.p, q.levi, {(1 << 8 * k - 1) - 1: INFINITE}
+    rs, p, levi = q.system, q.p, q.levi
+    lane = {_lane_masks(rs, k)[2]: INFINITE}
     return tuple(ParabolicScheme._of(rs, p, levi, (*map(lane.get, c, c),))
                  for c in _lane_rows(rs, keys, k))
 

@@ -4,13 +4,15 @@ A parabolic subgroup scheme containing the fixed Borel is encoded by its Levi
 subset I and the height function phi on the positive roots off the Levi.  A
 ParabolicScheme stores phi as one immutable vector, `heights`, indexed like
 `rs.positive_roots` (root gamma sits at position `rs.index[gamma]`) and
-holding the sentinel INFINITE exactly on the Levi roots.  Containment of
-schemes is pointwise comparison of the vectors, intersection is pointwise
-minimum.  The layout is public, as the README documents it: other modules
-read `heights` and build height vectors directly.  The private census kernel
-packs blocks into ints of k-byte lanes, k set by the height bound: first root
-most significant, each lane's top bit a zero guard bit, INFINITE all its
-other bits (`_lane_masks`).
+holding the sentinel INFINITE exactly on the Levi roots.  INFINITE tops the
+height order (it compares above every int) and has no arithmetic, so
+containment of schemes is pointwise >= of the vectors and intersection is
+pointwise minimum, by Python's own comparisons.  The layout is public, as the
+README documents it: other modules read `heights` and build height vectors
+directly.  The private census kernel packs blocks into ints of k-byte lanes, k
+set by the height bound: first root most significant, each lane's top bit a
+zero guard bit, INFINITE all its other bits (`_lane_masks`), so the lanes
+order heights as the vectors do.
 
 Every scheme is an intersection of rank-one blocks, one anchored at each
 simple root off the Levi.  The block catalog at a simple root alpha:
@@ -81,7 +83,9 @@ from .rootsys import (
 
 
 class _InfiniteHeight:
-    """Sentinel for the height on Levi roots; absorbing for min."""
+    """Sentinel for the height on Levi roots: the top of the height order, above every int
+    (so min, max and sorting treat it as the largest height), with no arithmetic: adding,
+    subtracting or raising to it raises TypeError."""
 
     _instance: Optional["_InfiniteHeight"] = None
 
@@ -93,26 +97,22 @@ class _InfiniteHeight:
     def __repr__(self) -> str:
         return "INFINITE"
 
+    def __lt__(self, other: object) -> bool:
+        return False
+
+    def __le__(self, other: object) -> bool:
+        return other is self
+
+    def __gt__(self, other: object) -> bool:
+        return other is not self
+
+    def __ge__(self, other: object) -> bool:
+        return True
+
 
 INFINITE = _InfiniteHeight()
 
 Height = Union[int, _InfiniteHeight]
-
-
-def height_min(a: Height, b: Height) -> Height:
-    if a is INFINITE:
-        return b
-    if b is INFINITE:
-        return a
-    return a if a <= b else b
-
-
-def height_ge(a: Height, b: Height) -> bool:
-    if a is INFINITE:
-        return True
-    if b is INFINITE:
-        return False
-    return a >= b
 
 
 #: characteristics must lie below this bound, where the Miller-Rabin test
@@ -476,8 +476,7 @@ def _meet(rs: RootSystem, p: int, blocks: Mapping[int, int]) -> ParabolicScheme:
     for alpha, code in blocks.items():
         m = code >> 3
         for i, v in zip(windows[alpha - 1][1], _block_vector(rs, alpha, _KINDS[code & 3])):
-            h = heights[i]
-            if h is INFINITE or v + m < h:
+            if v + m < heights[i]:
                 heights[i] = v + m
     levi = frozenset(range(1, rs.rank + 1)).difference(blocks)
     return ParabolicScheme._of(rs, p, levi, tuple(heights))
@@ -508,9 +507,8 @@ def _check_compatible(P: ParabolicScheme, Q: ParabolicScheme) -> None:
 def intersect(P: ParabolicScheme, Q: ParabolicScheme) -> ParabolicScheme:
     """Pointwise minimum of heights; the scheme-theoretic intersection."""
     _check_compatible(P, Q)
-    return ParabolicScheme._of(
-        P.rs, P.p, P.levi & Q.levi, tuple(map(height_min, P.heights, Q.heights))
-    )
+    heights = tuple([b if b < a else a for a, b in zip(P.heights, Q.heights)])
+    return ParabolicScheme._of(P.rs, P.p, P.levi & Q.levi, heights)
 
 
 def intersect_all(rs: RootSystem, p: int, schemes: Iterable[ParabolicScheme]) -> ParabolicScheme:
@@ -521,7 +519,7 @@ def contains(P: ParabolicScheme, Q: ParabolicScheme) -> bool:
     """Whether P contains Q: heights of P dominate pointwise (Levi roots at
     infinity)."""
     _check_compatible(P, Q)
-    return all(map(height_ge, P.heights, Q.heights))
+    return all(map(ge, P.heights, Q.heights))
 
 
 def _containment_bitsets(codes: Sequence[Tuple[int, ...]]) -> List[int]:
@@ -553,18 +551,20 @@ def _containment_bitsets(codes: Sequence[Tuple[int, ...]]) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _lane_masks(rs: RootSystem, k: int) -> Tuple[int, int]:
-    """The guard bits of every k-byte lane, and of the short-root lanes."""
+def _lane_masks(rs: RootSystem, k: int) -> Tuple[int, int, int]:
+    """The guard bits of every k-byte lane and of the short-root lanes, and the INFINITE
+    lane: every bit of a lane but its guard bit."""
     lane = b"\x80".ljust(k, b"\0")
     short = b"".join(lane if s else bytes(k) for s in rs.short)
-    return int.from_bytes(lane * len(rs.short), "big"), int.from_bytes(short, "big")
+    guards = int.from_bytes(lane * len(rs.short), "big")
+    return guards, int.from_bytes(short, "big"), (1 << 8 * k - 1) - 1
 
 
 @lru_cache(maxsize=None)
 def _packed_kinds(rs: RootSystem, p: int, alpha: int, k: int) -> Tuple[Tuple, ...]:
     """(packed X(0), its ones on alpha's window, _chain_code, top) of each kind at
     alpha, in catalog order, in k-byte lanes: X(m) packs as X(0) plus m ones."""
-    inf, kinds = (1 << 8 * k - 1) - 1, []
+    inf, kinds = _lane_masks(rs, k)[2], []
     for c in sorted(code & 7 for code in _chain(rs, p, alpha)[1]):
         x, one = 0, 0
         for v in _meet(rs, p, {alpha: c}).heights:  # the first root leads
@@ -580,9 +580,8 @@ def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], max_height: int,
     aligned their generated blocks' chain codes: the first tuple to reach a meet, each
     catalog in chain order and the partial meets in the order first reached."""
     k = ((max_height + 1).bit_length() + 8) // 8  # heights to max_height, INFINITE, a guard bit
-    H, short = _lane_masks(rs, k)
+    H, short, inf = _lane_masks(rs, k)
     g, low = 8 * k - 1, H >> 8 * k - 1
-    inf = (1 << g) - 1  # the INFINITE lane
     # normalized: a zero lane; a short one under the edge (the top short root is never Levi)
     sel = normalized_only and (short if edge_hypothesis(rs, p) else H)
     tuples: Dict[int, Tuple[int, ...]] = {H - low: ()}  # the full group
@@ -608,7 +607,7 @@ def _census_meets(rs: RootSystem, p: int, levi: FrozenSet[int], max_height: int,
 
 def _lane_rows(rs: RootSystem, keys: Iterable[int], k: int) -> Iterable[Sequence[int]]:
     """Each packed key in k-byte lanes as a row indexed like the heights, a lane's value at
-    its root's position (INFINITE as (1 << 8k - 1) - 1): the key's bytes for k = 1."""
+    its root's position (INFINITE as _lane_masks' INFINITE lane): the key's bytes for k = 1."""
     n = len(rs.short) * k
     rows = (x.to_bytes(n, "big") for x in keys)
     if k > 1:
@@ -697,10 +696,12 @@ def reconstruct(P: ParabolicScheme) -> ParabolicScheme:
     return _meet(P.rs, P.p, _generated_blocks(P))
 
 
-def _is_cover(P: ParabolicScheme) -> bool:
-    """reconstruct(P) == P without the meet: (a) each generated block contains
-    P (a fallback block drops below it), and (b) each root off the Levi is a
-    root where one of them equals P (a block is INFINITE off its window)."""
+def is_valid(P: ParabolicScheme) -> bool:
+    """Validity as the reconstruction fixpoint, reconstruct(P) == P, tested without the meet
+    as a cover: (a) each generated block contains P (a fallback block drops below it), and
+    (b) each root off the Levi is a root where one of them equals P (a block is INFINITE off
+    its window).  It reads only P's checked node windows and its checked prime's _chain, so
+    it raises no domain error."""
     hit = set()
     _, positions, windows = _levi_split(P.rs, P.levi)
     for alpha, window in windows:
@@ -709,12 +710,6 @@ def _is_cover(P: ParabolicScheme) -> bool:
             return False
         hit.update(compress(window, hits))
     return len(hit) == len(positions)
-
-
-def is_valid(P: ParabolicScheme) -> bool:
-    """Validity as the reconstruction fixpoint, tested as a cover (_is_cover), which reads
-    only P's checked node windows and its checked prime's _chain: it raises no domain error."""
-    return _is_cover(P)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +748,7 @@ def enne_check(P: ParabolicScheme) -> List[Tuple[Root, Root, Root]]:
     return [
         (pos[a], pos[b], pos[c])
         for a, b, c in _enne_triples(P.rs)
-        if not height_ge(h[c], height_min(h[a], h[b]))
+        if h[c] < h[a] and h[c] < h[b]
     ]
 
 
@@ -848,14 +843,15 @@ class NormalizationResult(NamedTuple):
 
 
 def _largest_kernel(P: ParabolicScheme) -> Optional[KernelRecord]:
-    values = [v for v in P.heights if v is not INFINITE]
-    if not values:
+    """The largest kernel P contains, None for the whole group (every height INFINITE) or a
+    normalized P.  Under the edge hypothesis the highest short root (B: e1, C: e1+e2, F4:
+    1232, G2: 2a1+a2) has full support, so it is finite off every proper Levi subset and the
+    least short height is finite wherever m is."""
+    m = min(P.heights)
+    if m is INFINITE:
         return None
-    m = min(values)
-    if edge_hypothesis(P.rs, P.p):
-        shorts = [v for short, v in zip(P.rs.short, P.heights) if short and v is not INFINITE]
-        if shorts and min(shorts) >= m + 1:
-            return KernelRecord(KernelKind.VERY_SPECIAL_KERNEL, m)
+    if edge_hypothesis(P.rs, P.p) and min(compress(P.heights, P.rs.short)) > m:
+        return KernelRecord(KernelKind.VERY_SPECIAL_KERNEL, m)
     if m >= 1:
         return KernelRecord(KernelKind.FROBENIUS, m)
     return None

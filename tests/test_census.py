@@ -14,6 +14,7 @@ from parabolics import (
     block_phi,
     brute_force_enumerate,
     contains,
+    edge_hypothesis,
     enumerate_parabolics,
     enne_check,
     fano_census,
@@ -34,7 +35,7 @@ from parabolics import (
     schemes_to_jsonl,
     vsi_pullback,
 )
-from parabolics.census import CENSUS_GUARD
+from parabolics.census import BRUTE_FORCE_GUARD, CENSUS_GUARD
 from parabolics.cli import run
 from parabolics.errors import InvalidScheme, SearchSpaceTooLarge
 from parabolics.rootsys import check_levi
@@ -501,6 +502,66 @@ def test_hasse_matches_pairwise_cover_relation(label, p, levi, M, normalized):
         assert len(d.schemes) == 1 and d.edges == ()
     else:
         assert d.edges
+
+
+# ---------------------------------------------------------------------------
+# closed form where no edge has multiplicity p
+
+
+def closed_form_census(rs, levi, M, normalized=False):
+    """The census where no edge of the diagram has multiplicity p, G2 at p = 2 aside, from
+    Root.coeffs alone: one Frobenius height m_a per node a off the Levi, m in [0..M]^nodes,
+    is at each root the least m_a over the nodes off the Levi in its support (Wenzel;
+    Haboush and Lauritzen), and a normalized scheme has some m_a = 0.  Rows are phi_items
+    tuples, sorted by their heights as the census is."""
+    nodes = [a for a in range(rs.rank) if a + 1 not in levi]
+    supports = [(g, [i for i, a in enumerate(nodes) if g.coeffs[a]]) for g in rs.positive_roots]
+    supports = [(g, s) for g, s in supports if s]
+    rows = [tuple((g, min(map(m.__getitem__, s))) for g, s in supports)
+            for m in itertools.product(range(M + 1), repeat=len(nodes))
+            if not normalized or 0 in m]
+    return sorted(rows, key=lambda row: [v for _, v in row])
+
+
+def check_closed_form(query):
+    """The census is the closed form and, for all schemes, its Hasse diagram is the product
+    of chains': n * M * (M+1)^(n-1) edges for n nodes off the Levi."""
+    rs, M = query.system, query.max_height
+    expected = closed_form_census(rs, query.levi, M, query.normalized_only)
+    assert [P.phi_items() for P in enumerate_parabolics(query)] == expected
+    if not query.normalized_only:
+        n = rs.rank - len(query.levi)
+        assert len(hasse_diagram(query).edges) == n * M * (M + 1) ** (n - 1)
+
+
+CLOSED_FORM_GRID = [
+    (label, p) for label in ("A3", "A4", "B3", "B4", "C3", "D4", "E6", "F4", "G2")
+    for p in (2, 3, 5)
+    if not edge_hypothesis(root_system(label), p) and (label, p) != ("G2", 2)
+]
+
+
+@pytest.mark.parametrize("label,p", CLOSED_FORM_GRID)
+def test_census_is_the_closed_form_off_the_edge_hypothesis(label, p):
+    rs = root_system(label)
+    for r in range(rs.rank):
+        for levi in itertools.combinations(range(1, rs.rank + 1), r):
+            for M, normalized in itertools.product(range(3), (False, True)):
+                check_closed_form(q(label, p, levi, M, normalized))
+
+
+@pytest.mark.parametrize("label,p,levi,M", [
+    ("D4", 3, (), 3), ("E6", 2, (1, 6), 2), ("F4", 5, (4,), 3), ("G2", 5, (), 16),
+    ("A3", 2, (2,), 127),  # a lane of two bytes, and an INFINITE lane between finite ones
+])
+def test_census_is_the_closed_form_past_the_oracle_guard(label, p, levi, M):
+    query = q(label, p, levi, M)
+    assert (M + 1) ** len(reduced_scheme(query.system, p, levi).domain) > BRUTE_FORCE_GUARD
+    if M > 100:  # the Hasse bitsets of 128^2 schemes would take 64 MiB: the census alone
+        assert [P.phi_items() for P in enumerate_parabolics(query)] == \
+            closed_form_census(query.system, query.levi, M)
+    else:
+        check_closed_form(query)
 
 
 # ---------------------------------------------------------------------------

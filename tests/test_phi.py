@@ -66,8 +66,7 @@ from parabolics.phi import (
     _enne_triples,
     _generated_blocks,
     _is_prime,
-    height_ge,
-    height_min,
+    _largest_kernel,
 )
 
 A2 = root_system("A2")
@@ -83,6 +82,38 @@ def scheme(rs, p, levi, table):
 
 def table(P):
     return {g.coeffs: v for g, v in P.phi_items()}
+
+
+# references for the height order, written without it: INFINITE is tested by identity
+
+
+def height_min(a, b):
+    if a is INFINITE:
+        return b
+    if b is INFINITE:
+        return a
+    return a if a <= b else b
+
+
+def height_ge(a, b):
+    if a is INFINITE:
+        return True
+    if b is INFINITE:
+        return False
+    return a >= b
+
+
+def largest_kernel_reference(P):
+    """_largest_kernel(P), from the finite heights alone."""
+    values = [v for v in P.heights if v is not INFINITE]
+    if not values:
+        return None
+    m = min(values)
+    if edge_hypothesis(P.rs, P.p):
+        shorts = [v for short, v in zip(P.rs.short, P.heights) if short and v is not INFINITE]
+        if shorts and min(shorts) >= m + 1:
+            return (KernelKind.VERY_SPECIAL_KERNEL, m)
+    return (KernelKind.FROBENIUS, m) if m >= 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +147,29 @@ def test_miller_rabin_refuses_strong_pseudoprimes_and_squares_for_large_s(n, pri
     else:
         with pytest.raises(InvalidScheme, match=f"^characteristic {n} is not prime$"):
             CensusQuery(A2.rtype, n, frozenset(), 1)
+
+
+def test_infinite_tops_the_height_order():
+    for v in (0, 1, 7, 2 ** 70, -1):
+        assert INFINITE > v and v < INFINITE and INFINITE >= v and v <= INFINITE
+        assert not (INFINITE < v or v > INFINITE or INFINITE <= v or v >= INFINITE)
+        assert height_ge(INFINITE, v) and not height_ge(v, INFINITE)
+    assert INFINITE >= INFINITE and INFINITE <= INFINITE and INFINITE == INFINITE
+    assert not (INFINITE > INFINITE or INFINITE < INFINITE)
+    mixed = (3, INFINITE, 0, 2, INFINITE, 1)
+    assert sorted(mixed) == [0, 1, 2, 3, INFINITE, INFINITE]
+    assert min(mixed) == 0 and max(mixed) is INFINITE
+    assert min(INFINITE, INFINITE) is INFINITE and min(INFINITE, 5) == 5 == min(5, INFINITE)
+
+
+@pytest.mark.parametrize("op", [
+    lambda: INFINITE + 1, lambda: 1 + INFINITE, lambda: INFINITE - 1, lambda: 2 - INFINITE,
+    lambda: 2 ** INFINITE, lambda: INFINITE ** 2, lambda: -INFINITE, lambda: INFINITE * 0,
+])
+def test_arithmetic_on_infinite_raises(op):
+    # a Levi height used by mistake as a number fails loudly
+    with pytest.raises(TypeError):
+        op()
 
 
 def test_height_infinite_on_levi_roots():
@@ -329,6 +383,34 @@ def test_contains_matches_explicit_levi_test(label, p):
         assert contains(P, Q) == explicit
 
 
+@pytest.mark.parametrize("label,p,M", [
+    (label, p, 1 if label == "F4" else 2) for label in ("B2", "C3", "G2", "F4") for p in (2, 3)
+])
+def test_intersect_and_kernels_match_the_explicit_references(label, p, M):
+    # every pair of census schemes over every Levi subset, and each meet, whose Levi
+    # is the intersection of theirs; each meet is also tested for its largest kernel
+    schemes = _schemes_over_every_levi(label, p, M)
+    kernels = set()
+    for P, Q in itertools.product(schemes, repeat=2):
+        R = intersect(P, Q)
+        assert R.levi == P.levi & Q.levi
+        assert R.heights == tuple(map(height_min, P.heights, Q.heights))
+        kernel = _largest_kernel(R)
+        assert kernel == largest_kernel_reference(R)  # a KernelRecord is a (kind, m) tuple
+        assert is_normalized(R) == (kernel is None)
+        kernels.add(kernel and kernel.kind)
+    for P in schemes:
+        for shift in (0, 1):
+            S = frobenius_pullback(P, shift)
+            assert _largest_kernel(S) == largest_kernel_reference(S)
+    # each census holds the whole group, normalized schemes and Frobenius kernels, and
+    # the very special kernels where an edge has multiplicity p
+    expected = {None, KernelKind.FROBENIUS}
+    if edge_hypothesis(schemes[0].rs, p):
+        expected.add(KernelKind.VERY_SPECIAL_KERNEL)
+    assert kernels == expected
+
+
 @pytest.mark.parametrize("label,p", MIXED_LEVI_GRID)
 def test_containment_bitsets_match_pairwise_contains(label, p):
     # the bitsets of each census, built from its carried chain codes, on every
@@ -426,10 +508,10 @@ def test_is_valid_lets_defects_propagate(monkeypatch):
     """Only domain errors mean "invalid"; a bug must not read as a verdict."""
     import parabolics.phi
 
-    def broken(P):
+    def broken(P, alpha, window):
         raise ZeroDivisionError("defect")
 
-    monkeypatch.setattr(parabolics.phi, "_is_cover", broken)
+    monkeypatch.setattr(parabolics.phi, "_covering", broken)
     with pytest.raises(ZeroDivisionError):
         is_valid(reduced_scheme(A2, 2))
 

@@ -34,19 +34,26 @@ checks that every row survives the very special isogeny's round trip,
 Past the oracle's guard, five Borel censuses of 538-3321 schemes (LARGE)
 check the code order alone: the up-sets against `contains` on SAMPLE
 ordered pairs of distinct schemes per cell, drawn with the fixed seed SEED.
+Past it too, on the Borel censuses of CLOSED, where no edge of the diagram
+has multiplicity p, the census in both modes equals the closed form of
+`tests/test_census.py` (`closed_form_census`, computed from `Root.coeffs`
+alone), the Hasse diagram has the product of chains' n * M * (M+1)^(n-1)
+edges, and every closed-form scheme, built by the public constructor, is
+valid and its own reconstruction.
 Every check runs on every cell it applies to, whatever an earlier check
 found.  A cell that differs is named on stderr with the checks it failed.
 The script prints the cells, the oracle's candidates, the rows whose codes,
 reconstruction and three lane-formatted lines it checked, the pairs whose
 order it checked, the Hasse edges it checked, the Fano rows it checked, the
 rows whose isogeny round trip it checked, the large cells and their sampled
-pairs, the seconds and the mismatched cells; then, per check (CHECKS), the
-cells on which it failed.  It exits 1 on a mismatch.  The whole sweep takes
-8-17 s on a 2-vCPU host.
+pairs, the closed-form cells and their rows, the seconds and the mismatched
+cells; then, per check (CHECKS), the cells on which it failed.  It exits 1 on
+a mismatch.  The whole sweep takes 10-20 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
 import time
@@ -54,14 +61,17 @@ from itertools import combinations
 from pathlib import Path
 from typing import Tuple
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from parabolics import (
     CensusQuery,
+    ParabolicScheme,
     RootSystemType,
     brute_force_enumerate,
     contains,
     edge_hypothesis,
+    enumerate_parabolics,
     fano_census,
     hasse_diagram,
     is_fano,
@@ -78,6 +88,11 @@ from parabolics.errors import ExoticBlocksPresent
 from parabolics.geometry import picard_rank
 from parabolics.phi import _containment_bitsets, _generated_blocks, _levi_split
 
+_spec = importlib.util.spec_from_file_location("test_census", ROOT / "tests" / "test_census.py")
+_test_census = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_test_census)
+closed_form_census = _test_census.closed_form_census
+
 #: (type, height bound) of each system swept
 GRID = (("B4", 1), ("C4", 1), ("D4", 1), ("B3", 3), ("C3", 3), ("G2", 6))
 PRIMES = (2, 3)
@@ -88,8 +103,11 @@ PAIR_LIMIT = 400
 LARGE = (("B4", 2, 4), ("C5", 2, 2), ("D5", 2, 3), ("F4", 2, 3), ("G2", 2, 40))
 #: ordered pairs sampled per large cell, and the seed they are drawn with
 SAMPLE, SEED = 20000, 29
+#: (type, prime, height bound) of the Borel censuses past BRUTE_FORCE_GUARD, with no edge
+#: of multiplicity p, checked against the closed form: 1024, 4096, 2187, 625 and 1681 schemes
+CLOSED = (("D5", 2, 3), ("E6", 3, 3), ("E7", 2, 2), ("F4", 3, 4), ("G2", 5, 40))
 #: the checks, in the order the report counts their mismatched cells
-CHECKS = ("oracle", "codes", "lanes", "order", "fano", "isogeny", "large order")
+CHECKS = ("oracle", "codes", "lanes", "order", "fano", "isogeny", "large order", "closed form")
 
 
 def order_mismatches(schemes, codes, pairs) -> int:
@@ -137,6 +155,22 @@ def fano_mismatches(q) -> Tuple[int, int]:
     rows = fano_census(q)
     bad = sum(r.fano != is_fano(r.scheme) or r.certificate != expected_certificate(r.scheme)
               for r in rows)
+    return len(rows), bad
+
+
+def closed_form_mismatches(label, p, M) -> Tuple[int, int]:
+    """(rows, checks failed) on one Borel cell: the census in each mode against the closed
+    form, the Hasse edge count against the product of chains', and the validity and
+    reconstruction of every closed-form scheme."""
+    rtype = RootSystemType.parse(label)
+    n, bad = rtype.rank, 0
+    for normalized in (True, False):
+        q = CensusQuery(rtype, p, frozenset(), M, normalized)
+        rows = closed_form_census(q.system, q.levi, M, normalized)
+        bad += [P.phi_items() for P in enumerate_parabolics(q)] != rows
+    bad += len(hasse_diagram(q).edges) != n * M * (M + 1) ** (n - 1)
+    schemes = [ParabolicScheme(q.system, p, (), dict(row)) for row in rows]
+    bad += not all(is_valid(P) and reconstruct(P) == P for P in schemes)
     return len(rows), bad
 
 
@@ -196,11 +230,20 @@ def main() -> int:
             bad["large order"] += 1
             mismatches += 1
             print(f"mismatch (large order): {label} p={p} M={M}", file=sys.stderr)
+    closed_rows = 0
+    for label, p, M in CLOSED:
+        checked, closed_bad = closed_form_mismatches(label, p, M)
+        closed_rows += checked
+        if closed_bad:
+            bad["closed form"] += 1
+            mismatches += 1
+            print(f"mismatch (closed form): {label} p={p} M={M}", file=sys.stderr)
     seconds = time.perf_counter() - start
     print(f"{cells} cells, {candidates} candidates, {rows} rows' codes, reconstructions "
           f"and json, csv and text lines, {pairs} ordered pairs, {edges} Hasse edges, "
           f"{fano_rows} Fano rows, {trips} isogeny round trips, {len(LARGE)} large cells' "
-          f"{sampled} sampled pairs, {seconds:.1f} s, {mismatches} mismatches")
+          f"{sampled} sampled pairs, {len(CLOSED)} closed-form cells' {closed_rows} rows, "
+          f"{seconds:.1f} s, {mismatches} mismatches")
     print("mismatches per check: " + ", ".join(f"{c} {n}" for c, n in bad.items()))
     return 1 if mismatches else 0
 

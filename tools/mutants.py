@@ -281,6 +281,24 @@ MUTANTS = (
         "a repeated Levi index is refused, not merged",
     ),
     Mutant(
+        "infinite-le-everything", PHI,
+        "-> bool:\n        return other is self", "-> bool:\n        return True",
+        ("tests/test_phi.py",),
+        "INFINITE tops the height order: it is at most itself and no int",
+    ),
+    Mutant(
+        "enne-non-strict", PHI,
+        "if h[c] < h[a] and h[c] < h[b]", "if h[c] <= h[a] and h[c] <= h[b]",
+        ("tests/test_phi.py",),
+        "phi(gamma+delta) equal to min(phi(gamma), phi(delta)) is no violation",
+    ),
+    Mutant(
+        "very-special-kernel-non-strict", PHI,
+        "min(compress(P.heights, P.rs.short)) > m", "min(compress(P.heights, P.rs.short)) >= m",
+        ("tests/test_phi.py",),
+        "the very special kernel of height m needs every short height above m",
+    ),
+    Mutant(
         "json-repeated-root", PHI,
         "            if g in phi:\n                raise", "            if False:\n                raise",
         ("tests/test_phi.py",),
