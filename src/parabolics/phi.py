@@ -61,7 +61,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import compress, product
-from operator import add, and_, eq, ge, itemgetter
+from operator import and_, eq, ge, itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from typing import Callable, Union
 
@@ -160,12 +160,12 @@ def _levi_split(rs: RootSystem, levi: FrozenSet[int]) -> Tuple[Tuple, Tuple, Tup
     """(roots, positions, windows) off the Levi: the positive roots not supported inside it
     (those some window holds) and their positions in the height vector, in root order, and
     the (node, window) of each node off it.  A window holds the positions of the
-    node-supported roots, where a block at the node is finite; the node's is first."""
+    node-supported roots, where a block at the node is finite; the node's is first.  It
+    does not depend on the Levi, so every other split filters the Borel split's windows."""
     pos = rs.positive_roots
-    windows = tuple(
-        (a, tuple(i for i, g in enumerate(pos) if g.coeffs[a - 1]))
-        for a in range(1, rs.rank + 1) if a not in levi
-    )
+    windows = (tuple(w for w in _levi_split(rs, frozenset())[2] if w[0] not in levi) if levi
+               else tuple((a, tuple(i for i, g in enumerate(pos) if g.coeffs[a - 1]))
+                          for a in range(1, rs.rank + 1)))
     positions = tuple(sorted({i for _, w in windows for i in w}))
     return tuple(map(pos.__getitem__, positions)), positions, windows
 
@@ -333,7 +333,8 @@ def _row_format(rs: RootSystem, levi: FrozenSet[int], form: str) -> Tuple[str, s
     finite = _levi_split(rs, levi)[1]
     get, fields = pick(finite), ";".join(["%d"] * len(finite))
     if form == "json":  # the heights in sort_keys order, then the prime
-        blank = tuple("%d" if i in finite else INFINITE for i in range(len(rs.positive_roots)))
+        marks = dict.fromkeys(finite, "%d")  # not `i in finite`, a scan of the tuple per root
+        blank = tuple(marks.get(i, INFINITE) for i in range(len(rs.positive_roots)))
         row = _canonical(ParabolicScheme._of(rs, "%p", levi, blank).to_json_dict())
         head, tail = row.replace('"%d"', "%d").split('"%p"')
         return head, tail, pick(sorted(finite, key=_json_keys(rs).__getitem__))
@@ -718,18 +719,23 @@ def is_valid(P: ParabolicScheme) -> bool:
 
 @lru_cache(maxsize=None)
 def _enne_triples(rs: RootSystem) -> Tuple[Tuple[int, int, int], ...]:
-    """Index triples (gamma, delta, gamma+delta) of the pairs enne_check
-    tests, sorted by the coefficients of gamma, then of delta."""
-    pos = rs.positive_roots
-    coeffs = [g.coeffs for g in pos]
-    at = {c: i for i, c in enumerate(coeffs)}
+    """Index triples (gamma, delta, gamma+delta) of the pairs enne_check tests, sorted by the
+    coefficients of gamma, then of delta.  Each positive root packs as one int of one-byte
+    lanes, the first coefficient leading, so the ints sort as the coefficient vectors.  No
+    coefficient of a positive root exceeds 6, so x + y adds lane by lane without a carry
+    (each lane stays at 12 or below): gamma + delta is a positive root exactly when x + y is
+    a packed one.  Where some lane of y exceeds x's lane, x - y borrows, and it is no packed
+    positive root r: x = y + r would add without a carry, each lane of x at least y's.  So
+    gamma - delta is a root exactly when x - y or y - x is a packed positive root."""
+    packed = [int.from_bytes(bytes(g.coeffs), "big") for g in rs.positive_roots]
+    at = {x: i for i, x in enumerate(packed)}
     triples = []
-    for a, ca in enumerate(coeffs):
-        for b in range(a + 1, len(pos)):
-            c = at.get(tuple(map(add, ca, coeffs[b])))
-            if c is not None and not rs.is_root(pos[a] - pos[b]):
+    for a, x in enumerate(packed):
+        for b, y in enumerate(packed[a + 1:], a + 1):
+            c = at.get(x + y)
+            if c is not None and x - y not in at and y - x not in at:
                 triples.append((a, b, c))
-    triples.sort(key=lambda t: (coeffs[t[0]], coeffs[t[1]]))
+    triples.sort(key=lambda t: (packed[t[0]], packed[t[1]]))
     return tuple(triples)
 
 

@@ -118,16 +118,13 @@ class Root:
         return frozenset(i + 1 for i, c in enumerate(self.coeffs) if c != 0)
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs, start=1):
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(f"a{i}")
-            elif c == -1:
-                parts.append(f"-a{i}")
-            else:
-                parts.append(f"{c}a{i}")
+        return self._name
+
+    @cached_property
+    def _name(self) -> str:
+        """The name, as "2a1-3a2": built on first read, kept on this root alone."""
+        parts = [f"{'' if c == 1 else '-' if c == -1 else c}a{i}"
+                 for i, c in enumerate(self.coeffs, start=1) if c]
         return "+".join(parts).replace("+-", "-") if parts else "0"
 
 

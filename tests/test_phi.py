@@ -68,6 +68,7 @@ from parabolics.phi import (
     _is_prime,
     _largest_kernel,
 )
+from parabolics.rootsys import RANK_LIMIT
 
 A2 = root_system("A2")
 B2 = root_system("B2")
@@ -578,7 +579,7 @@ def _random_scheme(rng, rs, p, levi_size, top):
 
 def test_canonical_json_matches_the_dumped_dict():
     rng = random.Random(5)
-    for label in ("A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "G2", "F4"):
+    for label in ("A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "G2", "F4", "D16"):
         rs = root_system(label)
         for k in range(rs.rank + 1):
             for p in (2, 3):
@@ -714,13 +715,27 @@ def _enne_triples_by_roots(rs):
     return sorted(triples, key=lambda t: (pos[t[0]].coeffs, pos[t[1]].coeffs))
 
 
-@pytest.mark.parametrize("label", [
-    "A1", "A2", "A3", "A5", "B2", "B3", "B5", "C3", "C4", "D4", "D5", "E6", "E7", "E8",
-    "F4", "G2",
-])
+#: every admitted type up to RANK_LIMIT
+EVERY_TYPE = [f"{s}{r}" for s, lo, hi in [("A", 1, RANK_LIMIT), ("B", 2, RANK_LIMIT),
+                                           ("C", 2, RANK_LIMIT), ("D", 3, RANK_LIMIT),
+                                           ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)]
+              for r in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("label", EVERY_TYPE)
 def test_enne_triples_match_root_arithmetic(label):
     rs = root_system(label)
     assert _enne_triples(rs) == tuple(_enne_triples_by_roots(rs))
+
+
+def test_no_positive_root_coefficient_exceeds_six():
+    # _enne_triples adds one-byte lanes without a carry only while every lane stays below 256
+    assert len(EVERY_TYPE) == 65
+    top = {label: max(max(g.coeffs) for g in root_system(label).positive_roots)
+           for label in EVERY_TYPE}
+    assert max(top.values()) == top["E8"] == 6
+    assert min(min(g.coeffs) for label in EVERY_TYPE
+               for g in root_system(label).positive_roots) == 0
 
 
 def test_enne_empty_on_block_intersections():

@@ -261,6 +261,48 @@ def test_build_matches_the_reference(label):
         [(Fraction,) * len(v) for v in ref["epsilon_coords"]]
 
 
+def _name_reference(coeffs):
+    """A root's name, built term by term: "a1", "-a2" or "3a4" per nonzero coefficient."""
+    parts = []
+    for i, c in enumerate(coeffs, start=1):
+        if c == 0:
+            continue
+        if c == 1:
+            parts.append(f"a{i}")
+        elif c == -1:
+            parts.append(f"-a{i}")
+        else:
+            parts.append(f"{c}a{i}")
+    return "+".join(parts).replace("+-", "-") if parts else "0"
+
+
+@pytest.mark.parametrize("label", EVERY_TYPE)
+def test_root_names_match_the_reference(label):
+    for g in root_system(label).roots:  # the shared instances, positive then negative
+        assert str(g) == _name_reference(g.coeffs)
+        assert str(g) is str(g)  # built once, on this root
+
+
+def test_names_of_the_zero_vector_and_of_non_roots():
+    for coeffs, name in [((0,), "0"), ((0, 0, 0), "0"), ((2, -3), "2a1-3a2"),
+                         ((-1, 1), "-a1+a2"), ((1, -1, 0, 7), "a1-a2+7a4"), ((-2,), "-2a1"),
+                         ((0, 12, -1), "12a2-a3")]:
+        assert str(Root.of(*coeffs)) == name == _name_reference(coeffs)
+
+
+def test_a_printed_root_compares_on_its_coefficients_alone():
+    for label in ("G2", "F4", "E8"):
+        for g in root_system(label).roots:
+            printed, fresh = Root(g.coeffs), Root(tuple(g.coeffs))
+            str(printed)
+            assert printed == fresh and fresh == printed and printed == g
+            assert hash(printed) == hash(fresh) == hash(g)
+            assert repr(printed) == repr(fresh) == f"Root(coeffs={g.coeffs!r})"
+            assert printed != g.coeffs and g.coeffs != printed
+            assert {printed: 1}[fresh] == 1
+            assert printed != -printed
+
+
 def test_a_non_integral_realisation_is_refused(monkeypatch):
     # squared lengths 3 and 4 with product 3: scaled by 2/3, (a2, a2) is 8/3
     monkeypatch.setattr(rootsys, "_simple_epsilon", lambda rtype: [(1, 1, 1, 0), (1, 1, 1, 1)])

@@ -299,6 +299,28 @@ MUTANTS = (
         "the very special kernel of height m needs every short height above m",
     ),
     Mutant(
+        "enne-triples-drop-negative-difference", PHI,
+        " and y - x not in at", "",
+        ("tests/test_phi.py",),
+        "gamma - delta may be a negative root: y - x, not only x - y, is tested as packed",
+    ),
+    Mutant(
+        "root-name-shared", ROOTSYS,
+        "    @cached_property\n    def _name(self) -> str:",
+        "    @property\n    def _name(self) -> str:\n"
+        "        Root._shared = getattr(Root, '_shared', None) or self._fresh\n"
+        "        return Root._shared\n\n"
+        "    @property\n    def _fresh(self) -> str:",
+        ("tests/test_rootsys.py",),
+        "a root's name is kept on that root alone, never shared between roots",
+    ),
+    Mutant(
+        "json-row-levi-roots-kept", PHI,
+        'marks.get(i, INFINITE)', 'marks.get(i, "%d")',
+        ("tests/test_phi.py",),
+        "the JSON row leaves the Levi roots out of phi",
+    ),
+    Mutant(
         "json-repeated-root", PHI,
         "            if g in phi:\n                raise", "            if False:\n                raise",
         ("tests/test_phi.py",),
